@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,7 @@ def _quad(cfg: ExperimentConfig) -> QuadratureSpec:
 
 
 def _mc(cfg: ExperimentConfig) -> dmft_mod.MonteCarloSpec:
-    return dmft_mod.MonteCarloSpec(K=cfg.dmft_K, seed=cfg.dmft_seed,
-                                   jitter=cfg.dmft_jitter)
+    return dmft_mod.MonteCarloSpec(K=cfg.dmft_K, seed=cfg.dmft_seed)
 
 
 class Runner:
@@ -76,85 +76,69 @@ class Runner:
     def __init__(self, cfg: ExperimentConfig, out: Path):
         self.cfg = cfg
         self.out = out
-        self._lam_sol = None
-        self._inst = None
-        self._spec = None
-        self._traj = None
-        self._dmft_state = None
-        self._dmft_law = None
-        self._fp = None
 
     # -- shared intermediates ---------------------------------------------
 
+    @cached_property
     def lam_sol(self):
-        if self._lam_sol is None:
-            cfg = self.cfg
-            self._lam_sol = solve_lambda_star(
-                cfg.preprocess(), cfg.link(), cfg.noise(), cfg.delta, _quad(cfg))
-        return self._lam_sol
+        cfg = self.cfg
+        return solve_lambda_star(
+            cfg.preprocess(), cfg.link(), cfg.noise(), cfg.delta, _quad(cfg))
 
+    @cached_property
     def inst(self):
-        if self._inst is None:
-            cfg = self.cfg
-            self._inst = make_instance(cfg.n, cfg.d, cfg.seed, cfg.link(),
-                                       cfg.noise(), cfg.signal())
-        return self._inst
+        cfg = self.cfg
+        return make_instance(cfg.n, cfg.d, cfg.seed, cfg.link(),
+                             cfg.noise(), cfg.signal())
 
+    @cached_property
     def spec_result(self):
-        if self._spec is None:
-            self._spec = spectral_estimator(self.inst(), self.cfg.preprocess())
-        return self._spec
+        return spectral_estimator(self.inst, self.cfg.preprocess())
 
+    @cached_property
     def theta0(self) -> np.ndarray:
         cfg = self.cfg
         if cfg.init == "spectral":
-            return self.spec_result().theta0
+            return self.spec_result.theta0
         rng = np.random.default_rng(cfg.seed + 7_777_777)
         theta0 = rng.standard_normal(cfg.d)
         return theta0 * np.sqrt(cfg.d) / np.linalg.norm(theta0)
 
+    @cached_property
     def traj(self):
-        if self._traj is None:
-            cfg = self.cfg
-            gd_cfg = GdConfig(gamma=cfg.gamma, lambda_ridge=cfg.lambda_ridge, m=cfg.m)
-            self._traj = run_gd(self.inst(), cfg.loss(), gd_cfg, self.theta0())
-        return self._traj
+        cfg = self.cfg
+        gd_cfg = GdConfig(gamma=cfg.gamma, lambda_ridge=cfg.lambda_ridge, m=cfg.m)
+        return run_gd(self.inst, cfg.loss(), gd_cfg, self.theta0)
 
-    def dmft_state(self):
-        if self._dmft_state is None:
-            cfg = self.cfg
-            state = dmft_mod.init_dmft(
-                cfg.loss(), cfg.link(), cfg.noise(), cfg.preprocess(),
-                self.lam_sol(), cfg.delta, cfg.gamma, cfg.lambda_ridge,
-                _mc(cfg), signal=cfg.signal(),
-                independent_init=(cfg.init == "independent"))
-            self._dmft_law = dmft_mod.run_dmft(state, cfg.m)
-            self._dmft_state = state
-        return self._dmft_state
+    @cached_property
+    def dmft(self) -> tuple[dmft_mod.DmftState, dmft_mod.DmftLaw]:
+        """The DMFT state run to horizon m, and the law that run returns."""
+        cfg = self.cfg
+        state = dmft_mod.init_dmft(
+            cfg.loss(), cfg.link(), cfg.noise(), cfg.preprocess(),
+            self.lam_sol, cfg.delta, cfg.gamma, cfg.lambda_ridge,
+            _mc(cfg), signal=cfg.signal(),
+            independent_init=(cfg.init == "independent"))
+        return state, dmft_mod.run_dmft(state, cfg.m)
 
-    def dmft_law(self):
-        self.dmft_state()
-        return self._dmft_law
-
+    @cached_property
     def fixed_point(self):
-        if self._fp is None:
-            cfg = self.cfg
-            init = None
-            if cfg.fp_warm_start == "dmft":
-                init = fp_mod.warm_start_from_dmft(self.dmft_state())
-            sol_cfg = fp_mod.SolverConfig(K=cfg.fp_K, damping=cfg.fp_damping,
-                                          tol=cfg.fp_tol, max_outer=cfg.fp_max_outer,
-                                          seed=cfg.fp_seed)
-            self._fp = fp_mod.iterate_fixed_point(
-                cfg.loss(), cfg.link(), cfg.noise(), cfg.delta, cfg.gamma,
-                cfg.lambda_ridge, sol_cfg, init=init, signal=cfg.signal())
-        return self._fp
+        cfg = self.cfg
+        init = None
+        if cfg.fp_warm_start == "dmft":
+            init = fp_mod.warm_start_from_dmft(self.dmft[0])
+        sol_cfg = fp_mod.SolverConfig(K=cfg.fp_K, damping=cfg.fp_damping,
+                                      tol=cfg.fp_tol, max_outer=cfg.fp_max_outer,
+                                      seed=cfg.fp_seed)
+        return fp_mod.iterate_fixed_point(
+            cfg.loss(), cfg.noise(), cfg.delta, cfg.lambda_ridge, sol_cfg,
+            init=init, signal=cfg.signal())
 
     # -- stages -------------------------------------------------------------
 
     def stage_spectral(self) -> dict:
-        sol = self.lam_sol()
-        spec = self.spec_result()
+        sol = self.lam_sol
+        spec = self.spec_result
         record = {
             "lambda_star": sol.lambda_star,
             "lambda_bar": sol.lambda_bar,
@@ -170,8 +154,8 @@ class Runner:
 
     def stage_simulate(self) -> dict:
         cfg = self.cfg
-        inst = self.inst()
-        traj = self.traj()
+        inst = self.inst
+        traj = self.traj
         loss = cfg.loss()
         sqd = np.sqrt(inst.d)
         with open(self.out / "trajectory.csv", "w") as fh:
@@ -185,8 +169,7 @@ class Runner:
         return {"ok": True}
 
     def stage_dmft(self) -> dict:
-        state = self.dmft_state()
-        law = self.dmft_law()
+        state, law = self.dmft
         out = self.out
         m = state.t_eta
         _write_matrix_csv(out / "C_theta.csv", state.C_theta)
@@ -228,7 +211,7 @@ class Runner:
 
     def stage_fixed_point(self) -> dict:
         cfg = self.cfg
-        fp = self.fixed_point()
+        fp = self.fixed_point
         res = fp_mod.fixed_point_residuals(fp, cfg.loss(), cfg.delta, cfg.lambda_ridge)
         record = {
             "R_theta_inf": fp.R_theta_inf,
@@ -248,13 +231,14 @@ class Runner:
         cfg = self.cfg
         if cfg.init != "spectral":
             raise ConfigError("field algo.init: amp-check requires spectral init")
-        table = amp_mod.onsager_from_dmft(self.dmft_state(), cfg.m)
+        state, law = self.dmft
+        table = amp_mod.onsager_from_dmft(state, cfg.m)
         run = amp_mod.run_spectral_amp(
-            self.inst(), cfg.preprocess(), self.lam_sol(), self.theta0(),
+            self.inst, cfg.preprocess(), self.lam_sol, self.theta0,
             table, cfg.loss(), cfg.gamma, cfg.lambda_ridge, cfg.m)
-        err_theta, err_eta = amp_mod.verify_equivalence(run, self.traj())
-        se = amp_mod.se_check(run, self.dmft_law(), self.theta0(),
-                              self.inst().theta_star, cfg.delta)
+        err_theta, err_eta = amp_mod.verify_equivalence(run, self.traj)
+        se = amp_mod.se_check(run, law, self.theta0,
+                              self.inst.theta_star, cfg.delta)
         record = {
             "equiv_error_theta": err_theta,
             "equiv_error_eta": err_eta,
@@ -265,11 +249,10 @@ class Runner:
 
     def stage_compare(self) -> dict:
         cfg = self.cfg
-        traj = self.traj()
-        tb, eb = empirical_joint(traj, self.inst().theta_star)
-        state = self.dmft_state()
+        tb, eb = empirical_joint(self.traj, self.inst.theta_star)
+        state, law = self.dmft
         rep = metrics.compare_empirical_vs_dmft(
-            tb, eb, self.dmft_law(), state.C_theta, state.c_theta_star, state.C_eta)
+            tb, eb, law, state.C_theta, state.c_theta_star, state.C_eta)
         record = {
             "w2_theta": rep.w2_theta,
             "w2_eta": rep.w2_eta,

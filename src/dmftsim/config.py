@@ -50,7 +50,6 @@ class ExperimentConfig:
     # dmft block
     dmft_K: int
     dmft_seed: int
-    dmft_jitter: float
     # fixedpoint block
     fp_K: int
     fp_damping: float
@@ -87,7 +86,7 @@ _DEFAULTS = {
     "loss": {},
     "algo": {"init": "spectral"},
     "spectral": {"gh_nodes": "64", "z_samples": "20000", "quad_seed": "0"},
-    "dmft": {"K": "100000", "seed": "0", "jitter": "1e-10"},
+    "dmft": {"K": "100000", "seed": "0"},
     "fixedpoint": {"K": "100000", "damping": "0.5", "tol": "1e-8",
                    "max_outer": "200", "seed": "0", "warm_start": "none"},
     "compare": {"w2_tol": "0.05", "cov_tol": "0.05"},
@@ -183,7 +182,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         quad_seed=_get(cp, "spectral", "quad_seed", int),
         dmft_K=_get(cp, "dmft", "K", int),
         dmft_seed=_get(cp, "dmft", "seed", int),
-        dmft_jitter=_get(cp, "dmft", "jitter", float),
         fp_K=_get(cp, "fixedpoint", "K", int),
         fp_damping=_get(cp, "fixedpoint", "damping", float),
         fp_tol=_get(cp, "fixedpoint", "tol", float),

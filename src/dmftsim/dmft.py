@@ -27,6 +27,7 @@ from .spectral import LambdaStarSolution
 
 Array = np.ndarray
 
+BASE_JITTER = 1e-10
 JITTER_LADDER = (1e-8, 1e-6)
 # relative eigenvalue floor below which a covariance block is not PSD
 PSD_FLOOR = 1e-8
@@ -42,7 +43,6 @@ def fmean(x: Array) -> float:
 class MonteCarloSpec:
     K: int
     seed: int = 0
-    jitter: float = 1e-10
 
     def __post_init__(self):
         if self.K < 1:
@@ -68,7 +68,7 @@ class IncrementalGaussian:
     innovations supplied at creation of coordinate k.
 
     A slightly negative Schur complement is absorbed by a diagonal jitter
-    (``base_jitter``, then ``JITTER_LADDER``).  Beyond the ladder, the
+    (``BASE_JITTER``, then ``JITTER_LADDER``).  Beyond the ladder, the
     coordinate is accepted as linearly dependent on the earlier ones when the
     block's smallest eigenvalue is at or above ``-PSD_FLOOR`` times its largest
     variance: it gets an exactly zero pivot (no innovation enters its value)
@@ -82,9 +82,8 @@ class IncrementalGaussian:
     coordinate is refused with ``LinAlgError`` too.
     """
 
-    def __init__(self, K: int, base_jitter: float, label: str):
+    def __init__(self, K: int, label: str):
         self.K = K
-        self.base_jitter = base_jitter
         self.label = label
         self.rows: list[Array] = []          # rows of L
         self.cov: list[Array] = []           # rows of the target covariance
@@ -131,8 +130,8 @@ class IncrementalGaussian:
             dsq = variance - float(l_part @ l_part)
         if dsq > 0.0:
             jitter = 0.0
-        elif dsq + self.base_jitter > 0.0:
-            jitter = self.base_jitter
+        elif dsq + BASE_JITTER > 0.0:
+            jitter = BASE_JITTER
         else:
             for jit in JITTER_LADDER:
                 if dsq + jit > 0.0:
@@ -227,8 +226,8 @@ class DmftState:
         orth = slot0 - fmean(slot0 * self.theta_star) * self.theta_star
         unit = orth / np.sqrt(fmean(orth**2))
 
-        self.u_proc = IncrementalGaussian(K, mc.jitter, "u-process")
-        self.w_proc = IncrementalGaussian(K, mc.jitter, "w-process")
+        self.u_proc = IncrementalGaussian(K, "u-process")
+        self.w_proc = IncrementalGaussian(K, "w-process")
 
         if independent_init:
             theta0 = unit.copy()
@@ -528,18 +527,6 @@ def init_dmft(
         signal=signal or gaussian_dist(1.0),
         independent_init=independent_init,
     )
-
-
-def step_eta(state: DmftState) -> DmftState:
-    """Advance the eta side by one time step (functional alias)."""
-    state.step_eta()
-    return state
-
-
-def step_theta(state: DmftState) -> DmftState:
-    """Advance the theta side by one time step (functional alias)."""
-    state.step_theta()
-    return state
 
 
 def run_dmft(state: DmftState, m: int) -> DmftLaw:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .dmft import fmean
-from .model import LinkFunction, LossModel, ScalarDist, gaussian_dist
+from .model import LossModel, ScalarDist, gaussian_dist
 
 Array = np.ndarray
 
@@ -238,19 +238,16 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
 
 def iterate_fixed_point(
     loss: LossModel,
-    link: LinkFunction,
     noise: ScalarDist,
     delta: float,
-    gamma: float,
     lambda_ridge: float,
     cfg: SolverConfig,
     init: Optional[FixedPointState] = None,
     signal: Optional[ScalarDist] = None,
 ) -> FixedPointState:
     """Damped self-consistent loop with common random numbers across outer
-    iterations.  gamma does not enter the fixed point; it is accepted for
-    interface uniformity with the dynamic solvers."""
-    del gamma, link  # the long-time system involves neither
+    iterations.  Neither the step size gamma nor the link enters the
+    long-time system."""
     K = cfg.K
     rng = np.random.default_rng(cfg.seed)
     z = np.asarray(noise.sample(rng, K), dtype=float)

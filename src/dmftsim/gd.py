@@ -31,11 +31,6 @@ class GdConfig:
         if self.m < 0:
             raise ValueError("horizon m must be >= 0")
 
-    def smoothness_bound(self, loss: LossModel, delta: float) -> float:
-        """L = lambda + 4 (1 + sqrt(delta))^2 sup|d1ell|: the smoothness
-        constant behind the benign-region step-size cap gamma < 2/L."""
-        return self.lambda_ridge + 4.0 * (1.0 + np.sqrt(delta)) ** 2 * loss.d1_bound
-
 
 @dataclass(frozen=True)
 class Trajectory:

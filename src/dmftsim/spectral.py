@@ -11,12 +11,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .gd import GdConfig, Trajectory, run_gd
+from .gd import EXACT_EIG_MAX_DIM, GdConfig, Trajectory, run_gd
 from .model import LinkFunction, LossModel, ModelInstance, PreProcess, ScalarDist
 
 Array = np.ndarray
 
-EXACT_EIG_MAX_DIM = 4096
 ADMISSIBILITY_FLOOR = 1e3
 POLE_GUARD = 1e-9
 
@@ -79,43 +78,18 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
 
 
 def top_two_eigs(M: Array) -> tuple[float, float, Array]:
-    """Two largest eigenvalues and the leading eigenvector of symmetric M."""
+    """Two largest eigenvalues and the leading eigenvector of symmetric M:
+    dense LAPACK up to EXACT_EIG_MAX_DIM, implicitly restarted Lanczos
+    (ARPACK) above it, from a fixed start vector so reruns are bitwise equal."""
     d = M.shape[0]
     if d <= EXACT_EIG_MAX_DIM:
         vals, vecs = scipy.linalg.eigh(M, subset_by_index=[d - 2, d - 1])
-        return float(vals[1]), float(vals[0]), vecs[:, 1]
-    return _power_top_two(M)
-
-
-def _power_top_two(M: Array, iters: int = 4000, tol: float = 1e-13) -> tuple[float, float, Array]:
-    # Shifted power iteration with one deflation step; M is PSD here.
-    d = M.shape[0]
-    v = np.ones(d) / np.sqrt(d)
-    v += 1e-6 * np.cos(np.arange(d))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        lam_new = float(v @ w)
-        nv = w / np.linalg.norm(w)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            v, lam = nv, lam_new
-            break
-        v, lam = nv, lam_new
-    u = np.sin(np.arange(d) + 0.5)
-    u -= (v @ u) * v
-    u /= np.linalg.norm(u)
-    mu = 0.0
-    for _ in range(iters):
-        w = M @ u - lam * (v @ u) * v
-        mu_new = float(u @ w)
-        nu = w - (v @ w) * v
-        nu /= np.linalg.norm(nu)
-        if abs(mu_new - mu) <= tol * max(1.0, abs(mu_new)):
-            u, mu = nu, mu_new
-            break
-        u, mu = nu, mu_new
-    return lam, mu, v
+    else:
+        # imported here: only d > EXACT_EIG_MAX_DIM needs it, and the import
+        # adds about 40 ms to every start-up
+        from scipy.sparse.linalg import eigsh
+        vals, vecs = eigsh(M, k=2, which="LA", v0=np.ones(d) / np.sqrt(d))
+    return float(vals[1]), float(vals[0]), vecs[:, 1]
 
 
 def spectral_estimator(inst: ModelInstance, pre: PreProcess) -> SpectralResult:

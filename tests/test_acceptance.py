@@ -255,7 +255,7 @@ def test_criterion_5_fixed_point():
     run_dmft(dm, 30)
     K = 100000
     cfg = SolverConfig(K=K, damping=0.5, tol=1e-10, max_outer=200, seed=0)
-    fp = iterate_fixed_point(RWF, link, noise, delta, gamma, lam, cfg,
+    fp = iterate_fixed_point(RWF, noise, delta, lam, cfg,
                              init=warm_start_from_dmft(dm))
     lim = 2.0 / np.sqrt(K)
     dev_c = max(abs(fp.C_theta_inf[0, 0] - 1.0), abs(fp.C_theta_inf[0, 1] - 1.0))
@@ -329,7 +329,7 @@ def test_criterion_6_long_time_dmft():
     r_sum = float(np.sum(st.r_theta[m]))
 
     cfg = SolverConfig(K=100000, damping=0.5, tol=1e-10, max_outer=200, seed=2)
-    fp = iterate_fixed_point(loss, link, noise, delta, gamma, lam, cfg)
+    fp = iterate_fixed_point(loss, noise, delta, lam, cfg)
     dev_r = abs(r_sum - fp.R_theta_inf)
 
     d = 2000

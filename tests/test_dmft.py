@@ -193,7 +193,7 @@ def test_rank_deficient_covariance_gets_zero_pivots():
 
 def test_non_psd_block_is_refused():
     rng = np.random.default_rng(0)
-    g = IncrementalGaussian(100, 1e-10, "test-process")
+    g = IncrementalGaussian(100, "test-process")
     g.add(np.zeros(0), 1.0, rng.standard_normal(100))
     with pytest.raises(np.linalg.LinAlgError, match="test-process.*coordinate 1"):
         g.add(np.array([1.0]), 1.0 - 1e-4, rng.standard_normal(100))
@@ -205,7 +205,7 @@ def test_amplified_zero_pivot_is_refused():
     rng = np.random.default_rng(0)
     K = 1000
     for c1, accepted in ((1e-11, True), (1e-9, False)):
-        g = IncrementalGaussian(K, 1e-10, "test-process")
+        g = IncrementalGaussian(K, "test-process")
         g.add(np.zeros(0), 1.0, rng.standard_normal(K))
         g.add(np.array([0.0]), 1e-18, rng.standard_normal(K))
         if accepted:

@@ -14,13 +14,7 @@ from dmftsim.fixed_point import (
     solve_R_theta,
     solve_eta_implicit,
 )
-from dmftsim.model import (
-    LossModel,
-    abs_link,
-    linear_link,
-    make_loss,
-    point_mass_dist,
-)
+from dmftsim.model import LossModel, make_loss, point_mass_dist
 
 RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
 
@@ -117,8 +111,8 @@ def test_ridge_fixed_point_matches_closed_form():
     lam, delta = 0.5, 2.0
     ref = ridge_closed_form(lam, delta)
     cfg = SolverConfig(K=200000, damping=0.7, tol=1e-12, max_outer=300, seed=3)
-    st = iterate_fixed_point(ridge_loss(), linear_link(), point_mass_dist(0.0),
-                             delta, 0.1, lam, cfg)
+    st = iterate_fixed_point(ridge_loss(), point_mass_dist(0.0),
+                             delta, lam, cfg)
     assert st.converged
     tol = 4.0 / np.sqrt(cfg.K)
     assert abs(st.R_theta_inf - ref["R"]) <= tol
@@ -156,8 +150,8 @@ def pr_warm_init(c12=0.998, R=0.03):
 
 def test_pr_fixed_point_converges_to_truth_branch():
     cfg = SolverConfig(K=30000, damping=0.5, tol=1e-10, max_outer=150, seed=0)
-    st = iterate_fixed_point(RWF, abs_link(), point_mass_dist(0.0), 10.0,
-                             0.01, 0.0, cfg, init=pr_warm_init())
+    st = iterate_fixed_point(RWF, point_mass_dist(0.0), 10.0,
+                             0.0, cfg, init=pr_warm_init())
     assert st.converged
     lim = 2.0 / np.sqrt(cfg.K)
     assert abs(st.C_theta_inf[0, 0] - 1.0) <= lim
@@ -174,8 +168,8 @@ def test_pr_reference_state_residuals():
     # undamped iteration is marginally unstable at the degenerate point;
     # the damped map holds it exactly
     cfg = SolverConfig(K=40000, damping=0.5, tol=1e-10, max_outer=80, seed=1)
-    st = iterate_fixed_point(RWF, abs_link(), point_mass_dist(0.0), 10.0,
-                             0.01, 0.0, cfg,
+    st = iterate_fixed_point(RWF, point_mass_dist(0.0), 10.0,
+                             0.0, cfg,
                              init=pr_warm_init(c12=1.0, R=0.033))
     assert st.converged
     res = fixed_point_residuals(st, RWF, 10.0, 0.0)
@@ -186,8 +180,8 @@ def test_pr_reference_state_residuals():
 
 def test_residual_sensitivity_to_R_perturbation():
     cfg = SolverConfig(K=20000, damping=1.0, tol=1e-9, max_outer=60, seed=1)
-    st = iterate_fixed_point(RWF, abs_link(), point_mass_dist(0.0), 10.0,
-                             0.01, 0.0, cfg, init=pr_warm_init(c12=1.0, R=0.033))
+    st = iterate_fixed_point(RWF, point_mass_dist(0.0), 10.0,
+                             0.0, cfg, init=pr_warm_init(c12=1.0, R=0.033))
     st.R_theta_inf += 0.1
     res = fixed_point_residuals(st, RWF, 10.0, 0.0)
     assert res["fix5_R_theta_inverse"] >= 0.01
@@ -237,8 +231,8 @@ def test_residual_noise_floor_halves_with_4K():
 
 def test_single_pass_loop_control():
     cfg = SolverConfig(K=5000, damping=1.0, tol=1e9, max_outer=50, seed=0)
-    st = iterate_fixed_point(ridge_loss(), linear_link(), point_mass_dist(0.0),
-                             2.0, 0.1, 0.5, cfg)
+    st = iterate_fixed_point(ridge_loss(), point_mass_dist(0.0),
+                             2.0, 0.5, cfg)
     assert st.iterations == 2  # change is measured from the second pass on
     for v in (st.R_theta_inf, st.R_eta_inf, st.R_eta_star, st.C_eta_inf):
         assert np.isfinite(v)

@@ -3,7 +3,9 @@ the two-stage power-iteration dynamic."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from dmftsim import spectral
 from dmftsim.model import (
     ModelInstance,
     PreProcess,
@@ -99,6 +101,21 @@ def test_spectral_estimator_eigen_residual():
     v = res.theta0 / np.sqrt(inst.d)
     resid = np.linalg.norm(M @ v - res.lam1_emp * v)
     assert resid <= 1e-8 * res.lam1_emp
+
+
+def test_top_two_eigs_lanczos_path_matches_dense(monkeypatch):
+    inst = make_instance(600, 150, 1, abs_link(), point_mass_dist(0.0),
+                         gaussian_dist())
+    M = build_Mn(inst, PRE3)
+    vals, vecs = scipy.linalg.eigh(M)
+    monkeypatch.setattr(spectral, "EXACT_EIG_MAX_DIM", 16)
+    lam1, lam2, v = spectral.top_two_eigs(M)
+    assert abs(lam1 - vals[-1]) <= 1e-10 * abs(vals[-1])
+    assert abs(lam2 - vals[-2]) <= 1e-10 * abs(vals[-2])
+    assert abs(v @ vecs[:, -1]) >= 1 - 1e-10
+    again = spectral.top_two_eigs(M)
+    assert again[0] == lam1 and again[1] == lam2
+    assert np.array_equal(again[2], v)
 
 
 def test_spectral_estimator_zero_matrix_rejected():
