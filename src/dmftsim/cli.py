@@ -163,7 +163,7 @@ class Runner:
             for t in range(traj.m + 1):
                 dist = np.linalg.norm(traj.theta[t] - inst.theta_star) / sqd
                 ov = float(traj.theta[t] @ inst.theta_star / inst.d)
-                lv = loss_value(inst, loss, cfg.lambda_ridge, traj.theta[t])
+                lv = loss_value(loss, traj, t)
                 fh.write(f"{t}," + ",".join(
                     FLOAT_FMT % v for v in (dist, ov, lv)) + "\n")
         return {"ok": True}

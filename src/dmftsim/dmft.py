@@ -31,12 +31,53 @@ BASE_JITTER = 1e-10
 JITTER_LADDER = (1e-8, 1e-6)
 # relative eigenvalue floor below which a covariance block is not PSD
 PSD_FLOOR = 1e-8
+# fmean's per-exponent bin sums stay below 2**53 up to this many elements
+_EXACT_MAX_SIZE = 2**26
 
 
 def fmean(x: Array) -> float:
-    """Fixed-order compensated mean (math.fsum); reduction order never
-    depends on thread count."""
-    return math.fsum(x) / x.size
+    """Mean of a 1-d array as its exactly rounded sum divided by its size.
+
+    Returns the bits of ``math.fsum(x) / x.size``, so the result does not
+    depend on summation order or thread count.  Each value is an integer
+    mantissa ``hi * 2**26 + lo`` (``|hi| < 2**27``, ``|lo| < 2**26``) times a
+    power of two; both halves are summed per binary exponent with
+    ``np.bincount``, where every partial sum is an integer multiple of the
+    bin's unit below 2**53, hence exact in any order.  The bins are then added
+    as one Python int and rounded once.  Non-finite input, values of 2**996
+    or more (where ``fsum`` may raise on intermediate overflow), more than
+    2**26 elements and all -0.0 input go to ``math.fsum`` itself.
+    """
+    s = _exact_sum(x)
+    return (math.fsum(x) if s is None else s) / x.size
+
+
+def _exact_sum(x: Array) -> Optional[float]:
+    """The correctly rounded sum of x, or None where fsum's own result,
+    error or sign of zero must stand."""
+    if x.ndim != 1 or x.dtype != np.float64 or not 0 < x.size <= _EXACT_MAX_SIZE:
+        return None
+    mant, exp = np.frexp(x)
+    # |mant| < 1 fails on nan and inf; exp > 996 means |x| >= 2**996
+    if not (max(mant.max(), -mant.min()) < 1.0 and exp.max() <= 996):
+        return None
+    mant *= 2.0**27
+    hi = np.trunc(mant)
+    lo = np.subtract(mant, hi, out=mant)
+    emin = int(exp.min())
+    idx = np.subtract(exp, emin, dtype=np.intp)
+    total = sum(int(v) << (b + 26) for b, v in _nonzero_bins(idx, hi))
+    total += sum(int(v * 2.0**26) << b for b, v in _nonzero_bins(idx, lo))
+    if not total:
+        return None if np.signbit(x).all() else 0.0
+    shift = emin - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
+def _nonzero_bins(idx: Array, weights: Array):
+    sums = np.bincount(idx, weights=weights)
+    nz = np.flatnonzero(sums)
+    return zip(nz.tolist(), sums[nz].tolist())
 
 
 @dataclass(frozen=True)

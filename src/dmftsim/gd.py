@@ -86,11 +86,13 @@ def run_gd(inst: ModelInstance, loss: LossModel, cfg: GdConfig, theta0: Array) -
     )
 
 
-def loss_value(inst: ModelInstance, loss: LossModel, lambda_ridge: float, theta: Array) -> float:
-    eta = inst.X @ theta
-    eta_star = inst.X @ inst.theta_star
-    vals = np.asarray(loss.L(eta, eta_star, inst.z), dtype=float)
-    return float(np.sum(vals) + 0.5 * lambda_ridge * np.sum(theta**2))
+def loss_value(loss: LossModel, traj: Trajectory, t: int) -> float:
+    """Regularized empirical risk at iterate t, from the recorded
+    pre-activations eta^t and eta*."""
+    if traj.eta is None:
+        raise ValueError("trajectory was run without record_eta")
+    vals = np.asarray(loss.L(traj.eta[t], traj.eta_star, traj.z), dtype=float)
+    return float(np.sum(vals) + 0.5 * traj.lambda_ridge * np.sum(traj.theta[t]**2))
 
 
 def hessian_extremes(

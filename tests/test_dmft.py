@@ -1,5 +1,8 @@
 """Tests for the DMFT Monte Carlo engine: initialization identities, path
-consistency, kernel estimation, and the independent-init degeneration."""
+consistency, kernel estimation, the exact kernel reducer, and the
+independent-init degeneration."""
+
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +109,90 @@ def test_zero_loss_degenerates_to_pure_noise_dynamics():
         assert np.allclose(st.etas[t], expect, atol=1e-14)
         assert abs(st.r_theta_dia[t] - (1 - gamma * lam) ** t) < 1e-14
         assert not np.any(st.r_eta_ts[t])
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel reducer
+# ---------------------------------------------------------------------------
+
+def fsum_mean_outcome(x):
+    """math.fsum(x) / x.size as its exact bits (float.hex keeps the sign of
+    zero and nan), or the exception type it raises."""
+    try:
+        return (math.fsum(x) / x.size).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def fmean_outcome(x):
+    try:
+        return fmean(x).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def reducer_cases():
+    rng = np.random.default_rng(2024)
+    big = rng.standard_normal(500) * 1e16
+    cancel = np.concatenate([big, -big, rng.standard_normal(7)])
+    rng.shuffle(cancel)
+    spread = rng.standard_normal(3000) * 10.0 ** rng.uniform(-280, 280, 3000)
+    subnormal = rng.integers(-2**20, 2**20, 2000) * 5e-324
+    zeros = rng.choice([0.0, -0.0], 64)
+    mixed = rng.choice([0.0, -0.0, 1e-310, -1e-310, 5e-324, 2.5], 301)
+    block = rng.standard_normal((5000, 9))
+    return {
+        "gaussian": rng.standard_normal(1000),
+        "cancellation": cancel,
+        "cancellation_to_zero": np.concatenate([big, -big[::-1]]),
+        "exponent_spread": spread,
+        "spread_with_cancellation": np.concatenate([spread, -spread[:1500]]),
+        "all_large": rng.standard_normal(200) * 1e200,
+        "subnormal": subnormal,
+        "signed_zeros": zeros,
+        "negative_zeros": -np.zeros(5),
+        "zero_and_subnormal_mix": mixed,
+        "single": np.array([-3.7e-5]),
+        "single_negative_zero": np.array([-0.0]),
+        "strided_column": block[:, 4],
+        "reversed_view": block[::-1, 0],
+        "K_1e5": rng.standard_normal(100_000) * rng.standard_normal(100_000),
+        "heavy_tail": rng.standard_cauchy(50_000) ** 3,
+    }
+
+
+@pytest.mark.parametrize("name", list(reducer_cases()))
+def test_fmean_is_fsum_bitwise(name):
+    x = reducer_cases()[name]
+    assert fmean_outcome(x) == fsum_mean_outcome(x)
+
+
+def test_fmean_is_fsum_bitwise_on_dmft_path_products():
+    st = pr_state(K=3000, seed=2)
+    run_dmft(st, 4)
+    t = st.t_eta
+    arrays = [st.ell_vals[t] * st.ell_vals[r] for r in range(t + 1)]
+    arrays += [st.r_eta_ts[t][:, s] for s in range(t)]
+    arrays += [st.r_eta_star[t], st.r_eta_dia[t], st.r_eta_dd[t]]
+    arrays += [st.thetas[-1] * st.thetas[r] for r in range(len(st.thetas))]
+    arrays += [st.thetas[-1] * st.theta_star, st.etas[0] * st.Ts_y]
+    for x in arrays:
+        assert fmean_outcome(x) == fsum_mean_outcome(x)
+    assert any(not x.flags.c_contiguous for x in arrays)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, np.nan, 2.0],
+    [1.0, np.inf, -5.0],
+    [-np.inf, 3.0],
+    [np.inf, -np.inf, 1.0],
+    [np.nan, np.inf],
+    [1e308, 1e308, -1e308],
+    [2.0**1000, 1.0],
+])
+def test_fmean_special_values_match_fsum(values):
+    x = np.array(values)
+    assert fmean_outcome(x) == fsum_mean_outcome(x)
 
 
 # ---------------------------------------------------------------------------

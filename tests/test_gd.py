@@ -202,5 +202,21 @@ def test_loss_value_decreases_under_gd():
                          gaussian_dist())
     loss = pseudo_huber_loss()
     traj = run_gd(inst, loss, GdConfig(0.05, 0.1, 10), np.zeros(100))
-    vals = [loss_value(inst, loss, 0.1, traj.theta[t]) for t in range(11)]
+    vals = [loss_value(loss, traj, t) for t in range(11)]
     assert all(vals[t + 1] <= vals[t] + 1e-12 for t in range(10))
+
+
+def test_loss_value_reads_recorded_pre_activations_bitwise():
+    inst = make_instance(120, 60, 4, abs_link(), point_mass_dist(0.0),
+                         gaussian_dist())
+    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    theta0 = spectral_estimator(inst, phase_preprocess(3.0)).theta0
+    traj = run_gd(inst, loss, GdConfig(0.02, 0.3, 6), theta0)
+    for t in range(traj.m + 1):
+        theta = traj.theta[t]
+        vals = loss.L(inst.X @ theta, inst.X @ inst.theta_star, inst.z)
+        recomputed = float(np.sum(vals) + 0.5 * 0.3 * np.sum(theta**2))
+        assert loss_value(loss, traj, t) == recomputed
+    no_eta = run_gd(inst, loss, GdConfig(0.02, 0.3, 6, record_eta=False), theta0)
+    with pytest.raises(ValueError, match="record_eta"):
+        loss_value(loss, no_eta, 0)
