@@ -10,6 +10,13 @@ with 2-column nonlinearities given recursively: g_i reconstructs
 keeps running reconstructions of theta^i and X theta^i instead of
 materializing the recursive closures; the Onsager coefficients cancel
 algebraically for any table used consistently on both sides.
+
+Only first columns are computed.  The second column of f_i is zero, so the
+second column of a^{i+1} is zero and its first needs one matrix-vector
+product X^T ell_i; the second column of g_i is theta*, so the second column
+of every b^i is X theta*, computed once, and its first needs one product
+X theta^i.  The Onsager sums over j <= i are products of the stacked
+histories theta^0..theta^i and ell_0..ell_i with a column of the table.
 """
 
 from __future__ import annotations
@@ -147,54 +154,49 @@ def run_spectral_amp(
     Zs = np.asarray(pre.Ts(inst.y), dtype=float)
     Ty = Zs / (lam_star - Zs)
     Xtheta0 = X @ theta0
-    extra = np.column_stack([Zs * Xtheta0 / lam_star, np.zeros(n)])
+    extra = Zs * Xtheta0 / lam_star      # first column of the zeta_{i,-1} term
+    b_star = X @ inst.theta_star
+    theta_star = inst.theta_star
 
-    b0 = np.column_stack([Xtheta0 - Zs * Xtheta0 / lam_star, X @ inst.theta_star])
-    eta0 = (1.0 + Ty) * b0[:, 0]
-    b_star = b0[:, 1]
+    b0 = Xtheta0 - extra
+    eta0 = (1.0 + Ty) * b0
 
     theta_rec = np.empty((m + 1, d))
     eta_rec = np.empty((m + 1, n))
+    ells = np.empty((m + 1, n))         # first columns of f_0..f_m
     theta_rec[0] = theta0
     eta_rec[0] = eta0
-    f_vals = [np.column_stack([np.asarray(loss.ell(eta0, b_star, z), dtype=float),
-                               np.zeros(n)])]
+    ells[0] = loss.ell(eta0, b_star, z)
     a_iters: list[Array] = []
-    b_iters: list[Array] = [b0]
+    b_iters: list[Array] = [np.column_stack([b0, b_star])]
     xi, zeta = onsager.xi, onsager.zeta
     rxi, rzeta = recon.xi, recon.zeta
 
     for i in range(m):
+        thetas, ell_hist = theta_rec[:i + 1], ells[:i + 1]
         # a^{i+1} from f_i and the xi corrections over g_0..g_i
-        a_next = -(X.T @ f_vals[i]) / delta
-        for j in range(i + 1):
-            G_j = np.column_stack([theta_rec[j], inst.theta_star])
-            a_next += G_j @ xi[i, j]
+        a_next = np.zeros((d, 2))
+        a_next[:, 0] = (-(X.T @ ells[i]) / delta
+                        + xi[i, :i + 1, 0, 0] @ thetas
+                        + xi[i, :i + 1, 1, 0].sum() * theta_star)
         a_iters.append(a_next)
 
         # reconstruct theta^{i+1} (Onsager part cancels by construction)
-        corr = np.zeros(d)
-        star_coef = 0.0
-        for j in range(i + 1):
-            corr += theta_rec[j] * rxi[i, j, 0, 0]
-            star_coef += rxi[i, j, 1, 0]
+        corr = rxi[i, :i + 1, 0, 0] @ thetas
+        star_coef = rxi[i, :i + 1, 1, 0].sum()
         theta_rec[i + 1] = (
             (1.0 - gamma * lambda_ridge) * theta_rec[i]
-            + gamma * delta * (a_next[:, 0] - corr - star_coef * inst.theta_star)
+            + gamma * delta * (a_next[:, 0] - corr - star_coef * theta_star)
         )
 
-        # b^{i+1} and the reconstruction of X theta^{i+1}
-        G_next = np.column_stack([theta_rec[i + 1], inst.theta_star])
-        b_next = X @ G_next - extra @ zeta[i + 1, 0]
-        for j in range(i + 1):
-            b_next += (f_vals[j] @ zeta[i + 1, j + 1]) / delta
-        b_iters.append(b_next)
-        eta_next = b_next[:, 0] + Ty * b0[:, 0] * rzeta[i + 1, 0, 0, 0]
-        for j in range(i + 1):
-            eta_next -= f_vals[j][:, 0] * rzeta[i + 1, j + 1, 0, 0] / delta
-        eta_rec[i + 1] = eta_next
-        f_vals.append(np.column_stack(
-            [np.asarray(loss.ell(eta_next, b_star, z), dtype=float), np.zeros(n)]))
+        # b^{i+1} and the reconstruction of X theta^{i+1}; the second column
+        # of b^{i+1} is X theta* because g_{i+1} = (theta^{i+1}, theta*)
+        b_next = (X @ theta_rec[i + 1] - extra * zeta[i + 1, 0, 0, 0]
+                  + (zeta[i + 1, 1:i + 2, 0, 0] @ ell_hist) / delta)
+        b_iters.append(np.column_stack([b_next, b_star]))
+        eta_rec[i + 1] = (b_next + Ty * b0 * rzeta[i + 1, 0, 0, 0]
+                          - (rzeta[i + 1, 1:i + 2, 0, 0] @ ell_hist) / delta)
+        ells[i + 1] = loss.ell(eta_rec[i + 1], b_star, z)
 
     return AmpRun(a_iters=a_iters, b_iters=b_iters,
                   theta_rec=theta_rec, eta_rec=eta_rec)

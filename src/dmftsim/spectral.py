@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .gd import EXACT_EIG_MAX_DIM, GdConfig, Trajectory, run_gd
 from .model import LinkFunction, LossModel, ModelInstance, PreProcess, ScalarDist
@@ -18,6 +19,7 @@ Array = np.ndarray
 
 ADMISSIBILITY_FLOOR = 1e3
 POLE_GUARD = 1e-9
+MN_ROW_BLOCK = 2048   # rows of X weighted and accumulated per syrk call
 
 
 class WeakRecoveryError(RuntimeError):
@@ -71,10 +73,31 @@ class TwoStageResult:
 
 
 def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
-    """M_n = X^T diag(Ts(y)) X, symmetrized in floating point."""
+    """M_n = X^T diag(Ts(y)) X, exactly symmetric.
+
+    Row blocks of sqrt(Ts(y)) X (MN_ROW_BLOCK rows, one reused buffer) are
+    accumulated by BLAS syrk into the lower triangle of one Fortran-ordered
+    matrix, which is then mirrored into the upper triangle.  No weighted copy
+    of X is made, and the flops are half those of a full product.  The square
+    root needs Ts >= 0, the contract of PreProcess, so negative weights are
+    refused."""
+    X = inst.X
+    n, d = X.shape
     w = np.asarray(pre.Ts(inst.y), dtype=float)
-    M = inst.X.T @ (w[:, None] * inst.X)
-    return 0.5 * (M + M.T)
+    if np.any(w < 0):
+        raise ValueError(
+            f"pre-processing {pre.name!r}: Ts(y) has negative entries "
+            f"(min {w.min():.6g}); M_n needs Ts >= 0")
+    sw = np.sqrt(w)
+    C = np.zeros((d, d), order="F")
+    buf = np.empty((min(n, MN_ROW_BLOCK), d))
+    for start in range(0, n, MN_ROW_BLOCK):
+        stop = min(start + MN_ROW_BLOCK, n)
+        B = np.multiply(sw[start:stop, None], X[start:stop], out=buf[:stop - start])
+        # B.T is Fortran-contiguous (d x rows), so trans=0 passes it uncopied
+        C = dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
+    C += np.tril(C, -1).T
+    return C
 
 
 def top_two_eigs(M: Array) -> tuple[float, float, Array]:
@@ -94,7 +117,11 @@ def top_two_eigs(M: Array) -> tuple[float, float, Array]:
 
 def spectral_estimator(inst: ModelInstance, pre: PreProcess) -> SpectralResult:
     """theta^0 = sqrt(d) v1 with the sign fixed so that <theta^0, theta*> >= 0."""
-    M = build_Mn(inst, pre)
+    return _estimator_from_Mn(inst, build_Mn(inst, pre))
+
+
+def _estimator_from_Mn(inst: ModelInstance, M: Array) -> SpectralResult:
+    """The spectral estimator of ``spectral_estimator`` from a built M_n."""
     if not np.any(M):
         raise ValueError("M_n is the zero matrix; spectral estimator undefined")
     lam1, lam2, v1 = top_two_eigs(M)
@@ -338,7 +365,7 @@ def two_stage_dynamic(
     if T_stage < 1:
         raise ValueError("T_stage must be >= 1")
     M = build_Mn(inst, pre)
-    spec = spectral_estimator(inst, pre)
+    spec = _estimator_from_Mn(inst, M)
     iterates, betas = power_stage(M, inst.theta_star, T_stage)
     sqd = np.sqrt(inst.d)
     gaps = np.linalg.norm(iterates - spec.theta0[None, :], axis=1) / sqd

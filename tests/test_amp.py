@@ -111,6 +111,24 @@ def test_b0_second_column_is_X_theta_star(setup):
         assert np.allclose(b[:, 1], expected, atol=1e-12)
 
 
+def test_constant_columns_are_exact(setup):
+    # f_i = (ell_i, 0) and g_i = (theta^i, theta*): the second column of
+    # every a^i is exactly zero and that of every b^i is exactly X theta*
+    table = onsager_from_dmft(setup["state"], setup["m"])
+    inst = setup["inst"]
+    run = run_spectral_amp(inst, PRE3, setup["sol"], setup["spec"].theta0,
+                           table, RWF, setup["gamma"], setup["lam"], setup["m"])
+    b_star = inst.X @ inst.theta_star
+    assert len(run.a_iters) == setup["m"]
+    assert len(run.b_iters) == setup["m"] + 1
+    for a in run.a_iters:
+        assert a.shape == (inst.d, 2)
+        assert np.all(a[:, 1] == 0.0)
+    for b in run.b_iters:
+        assert b.shape == (inst.n, 2)
+        assert np.array_equal(b[:, 1], b_star)
+
+
 def test_first_step_with_zero_table(setup):
     # all-zero corrections except the structural zeta_{0,-1}
     m = 1

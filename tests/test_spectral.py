@@ -1,6 +1,8 @@
 """Tests for the spectral module: M_n, eigenpairs, the lambda* solve, and
 the two-stage power-iteration dynamic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -67,6 +69,41 @@ def test_build_mn_single_row_rank_one():
     w = float(PRE3.Ts(inst.y)[0])
     assert np.linalg.matrix_rank(M, tol=1e-12) <= 1
     assert abs(np.trace(M) - w * np.sum(inst.X[0] ** 2)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [300, 40])
+def test_build_mn_blocked_matches_dense_product(monkeypatch, n):
+    # block of 64 rows: n = 300 spans four full blocks and a remainder of
+    # 44 rows, n = 40 is smaller than one block
+    monkeypatch.setattr(spectral, "MN_ROW_BLOCK", 64)
+    inst = make_instance(n, 30, 4, abs_link(), point_mass_dist(0.0),
+                         gaussian_dist())
+    M = build_Mn(inst, PRE3)
+    w = PRE3.Ts(inst.y)
+    dense = inst.X.T @ (w[:, None] * inst.X)
+    assert np.array_equal(M, M.T)
+    assert np.max(np.abs(M - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_build_mn_rejects_negative_preprocess():
+    signed = PreProcess(name="signed", Ts=lambda y: np.asarray(y) - 0.5,
+                        Ts1=lambda y: np.ones_like(np.asarray(y)),
+                        tau=0.0, lipschitz=1.0)
+    with pytest.raises(ValueError, match="signed"):
+        build_Mn(small_instance(), signed)
+
+
+def test_build_mn_makes_no_weighted_copy_of_X():
+    inst = make_instance(8192, 256, 0, abs_link(), point_mass_dist(0.0),
+                         gaussian_dist())
+    block = spectral.MN_ROW_BLOCK * inst.d * 8
+    tracemalloc.start()
+    try:
+        M = build_Mn(inst, PRE3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= M.nbytes + 2 * block + 2**20 < inst.X.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +297,20 @@ def test_power_stage_fixed_point_at_exact_eigenvector():
     res = two_stage_dynamic(inst, PRE3, loss, gamma=0.01, lambda_ridge=0.0,
                             T_stage=6, m=0)
     assert np.all(res.gaps <= 1e-12)
+
+
+def test_two_stage_builds_Mn_once(monkeypatch):
+    calls = []
+    build = spectral.build_Mn
+
+    def counted(inst, pre):
+        calls.append(1)
+        return build(inst, pre)
+    monkeypatch.setattr(spectral, "build_Mn", counted)
+    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    two_stage_dynamic(planted_instance(), PRE3, loss, gamma=0.01,
+                      lambda_ridge=0.0, T_stage=2, m=0)
+    assert len(calls) == 1
 
 
 def test_power_stage_rejects_zero():
