@@ -225,4 +225,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for s in cfg.pipeline_stages:
         if s not in known:
             raise ConfigError(f"field outputs.stages: unknown stage {s!r}")
+    if "amp-check" in cfg.pipeline_stages and cfg.init != "spectral":
+        raise ConfigError(
+            "field outputs.stages: amp-check requires field algo.init = "
+            f"spectral, got {cfg.init!r}")
     return cfg

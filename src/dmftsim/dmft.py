@@ -298,7 +298,7 @@ class DmftState:
         self.etas: list[Array] = []
         self.ell_vals: list[Array] = []
         self.d1_vals: list[Array] = []
-        self.r_eta_ts: dict[int, Array] = {}
+        self.r_eta_ts: dict[int, Array] = {}   # t -> (t, K)
         self.r_eta_star: list[Array] = []
         self.r_eta_dia: list[Array] = []
         self.r_eta_dd: list[Array] = []
@@ -387,17 +387,20 @@ class DmftState:
         self.ell_vals.append(ell_t)
         self.d1_vals.append(d1_t)
 
-        # per-path responses
+        # per-path responses, row s of r_eta_ts[t] is R_eta(t, s) on the K
+        # paths; the subtractions run in place, products in one scratch buffer
+        acc = np.zeros((t, K))
         if t > 0:
-            acc = np.zeros((K, t))
+            buf = np.empty((t, K))
             for r in range(1, t):
                 if R_row[r] != 0.0:
-                    acc[:, :r] -= R_row[r] * self.r_eta_ts[r]
+                    prod = np.multiply(self.r_eta_ts[r], R_row[r], out=buf[:r])
+                    np.subtract(acc[:r], prod, out=acc[:r])
             for s in range(t):
-                acc[:, s] -= self.d1_vals[s] * R_row[s]
-            self.r_eta_ts[t] = d1_t[:, None] * acc
-        else:
-            self.r_eta_ts[0] = np.zeros((K, 0))
+                prod = np.multiply(self.d1_vals[s], R_row[s], out=buf[s])
+                np.subtract(acc[s], prod, out=acc[s])
+            np.multiply(acc, d1_t, out=acc)
+        self.r_eta_ts[t] = acc
 
         acc_star = np.zeros(K)
         acc_dia = self.Ty * self.r_theta_dia[t]
@@ -425,7 +428,7 @@ class DmftState:
             self.c_eta_dia.append(
                 -(self.delta / self.lam_star) * fmean(ell_t * self.Ts_y * self.etas[0]))
         self.R_eta[t] = np.array(
-            [self.delta * fmean(self.r_eta_ts[t][:, s]) for s in range(t)])
+            [self.delta * fmean(self.r_eta_ts[t][s]) for s in range(t)])
         self.R_eta_star.append(self.delta * fmean(self.r_eta_star[t]))
         self.R_eta_dia.append(self.delta * fmean(self.r_eta_dia[t]))
         self.R_eta_dd.append(self.delta * fmean(self.r_eta_dd[t]))

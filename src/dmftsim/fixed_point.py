@@ -188,12 +188,25 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     This is the scalar reduction of the response equations; g(0) = -1 and the
     bracket is doubled until a sign change appears.  The bracket stays below
     the smallest pole of the integrand, where the fixed point is defined.
+
+    Bisection runs for at most 200 steps and stops when the bracket's width
+    falls to 1e-16 relative, or as soon as a step leaves (lo, hi) unchanged:
+    g is deterministic, so from that step on every further step repeats it,
+    and stopping gives the bits that running all 200 steps gives.  (For
+    hi >= 0.5 the width rule lies below one ulp, so it fires only on a
+    bracket collapsed to a point.)  g(R) is evaluated in two work buffers of
+    the pool's size, allocated once per call.  A secant refinement follows
+    when |g(R)| exceeds R_RESIDUAL_TOL.
     """
     d1 = np.asarray(d1_pool, dtype=float)
+    q = np.empty_like(d1)
+    ratio = np.empty_like(d1)
 
     def g(R: float) -> float:
-        q = d1 * R
-        return lambda_ridge * R + delta * float(np.mean(q / (1.0 + q))) - 1.0
+        np.multiply(d1, R, out=q)
+        np.add(1.0, q, out=ratio)
+        np.divide(q, ratio, out=ratio)
+        return lambda_ridge * R + delta * float(np.mean(ratio)) - 1.0
 
     r_pole = pole_radius(d1)
     cap = min(1e6, r_pole * (1.0 - 1e-12))
@@ -210,8 +223,12 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
+            if hi == mid:
+                break
             hi = mid
         else:
+            if lo == mid:
+                break
             lo = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
             break

@@ -151,8 +151,12 @@ def _estimator_from_Mn(inst: ModelInstance, M: Array) -> SpectralResult:
 class EtaIntegrals:
     """Weighted grid over (G, z) for the scalar expectations behind psi/phi.
 
-    Precomputes Z_s = Ts(phi(G, z)) and G^2 on the product grid; each
-    lambda-evaluation is then a fixed-order weighted sum.
+    Precomputes Z_s = Ts(phi(G, z)) and the lambda-independent products
+    ``wZ = weights * Z_s`` and ``wZG2 = weights * Z_s * G^2`` on the product
+    grid.  Each lambda-evaluation divides one of them by lam - Z_s (or its
+    square) in a reused buffer and sums in a fixed order; Python multiplies
+    left to right, so the values are bitwise those of the weighted sums
+    written out in full, e.g. ``sum(weights * Z_s * G^2 / (lam - Z_s))``.
     """
 
     def __init__(self, pre: PreProcess, link: LinkFunction, noise: ScalarDist,
@@ -169,34 +173,38 @@ class EtaIntegrals:
             zs = z_draws
             zw = np.full(zs.size, 1.0 / zs.size)
         G, Z = np.meshgrid(g, zs, indexing="ij")
-        W = np.outer(gw, zw)
-        self.weights = W.ravel()
-        self.G2 = (G.ravel()) ** 2
         Y = np.asarray(link.eval(G.ravel(), Z.ravel()), dtype=float)
         self.Zs = np.asarray(pre.Ts(Y), dtype=float)
+        self.wZ = np.outer(gw, zw).ravel() * self.Zs
+        self.wZG2 = self.wZ * G.ravel() ** 2
         self.tau = float(pre.tau)
+        self._buf = np.empty_like(self.Zs)
 
-    def _gap(self, lam: float) -> Array:
+    def _frac(self, num: Array, lam: float, power: int) -> float:
+        """sum(num / (lam - Z_s)**power) for power 1 or 2."""
         if lam <= self.tau * (1.0 + POLE_GUARD):
             raise ValueError(
                 f"lambda={lam!r} too close to the pole at tau={self.tau!r}")
-        return lam - self.Zs
+        buf = np.subtract(lam, self.Zs, out=self._buf)
+        if power == 2:
+            np.square(buf, out=buf)
+        return float(np.sum(np.divide(num, buf, out=buf)))
 
     def e_frac(self, lam: float) -> float:
         """E[Z_s / (lam - Z_s)]."""
-        return float(np.sum(self.weights * self.Zs / self._gap(lam)))
+        return self._frac(self.wZ, lam, 1)
 
     def e_frac2(self, lam: float) -> float:
         """E[Z_s / (lam - Z_s)^2]."""
-        return float(np.sum(self.weights * self.Zs / self._gap(lam) ** 2))
+        return self._frac(self.wZ, lam, 2)
 
     def e_g2frac(self, lam: float) -> float:
         """E[Z_s G^2 / (lam - Z_s)]."""
-        return float(np.sum(self.weights * self.Zs * self.G2 / self._gap(lam)))
+        return self._frac(self.wZG2, lam, 1)
 
     def e_g2frac2(self, lam: float) -> float:
         """E[Z_s G^2 / (lam - Z_s)^2]."""
-        return float(np.sum(self.weights * self.Zs * self.G2 / self._gap(lam) ** 2))
+        return self._frac(self.wZG2, lam, 2)
 
 
 def solve_lambda_star(

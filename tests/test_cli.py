@@ -227,3 +227,17 @@ def test_fixed_point_stage_reports_off_branch_failure(tmp_path):
     record = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
     assert not record["converged"]
     assert code == 1
+
+
+def test_amp_check_with_independent_init_is_a_config_error(tmp_path, capsys):
+    # refused at load time: no stage before amp-check may run
+    path = tmp_path / "lin.ini"
+    path.write_text(LINEAR_CFG.format(out=tmp_path / "out").replace(
+        "stages = fixed-point", "stages = simulate,amp-check"))
+    with pytest.raises(ConfigError, match="outputs.stages.*algo.init"):
+        load_config(path)
+    code = main(["pipeline", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "outputs.stages" in err and "algo.init" in err
+    assert not (tmp_path / "out").exists()

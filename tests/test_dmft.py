@@ -111,6 +111,27 @@ def test_zero_loss_degenerates_to_pure_noise_dynamics():
         assert not np.any(st.r_eta_ts[t])
 
 
+def test_response_pools_equal_path_major_recursion_bitwise():
+    # reference: the recursion on (K, t) pools with a fresh temporary per
+    # product; the (t, K) pools must hold the same bits, transposed
+    st = pr_state(K=3000, seed=2, gamma=0.05)
+    run_dmft(st, 6)
+    pools = {0: np.zeros((st.K, 0))}
+    for t in range(1, st.t_eta + 1):
+        R_row = st.r_theta[t]
+        acc = np.zeros((st.K, t))
+        for r in range(1, t):
+            if R_row[r] != 0.0:
+                acc[:, :r] -= R_row[r] * pools[r]
+        for s in range(t):
+            acc[:, s] -= st.d1_vals[s] * R_row[s]
+        pools[t] = st.d1_vals[t][:, None] * acc
+    assert np.any(st.r_eta_ts[st.t_eta])
+    for t in range(st.t_eta + 1):
+        assert st.r_eta_ts[t].shape == (t, st.K)
+        assert st.r_eta_ts[t].tobytes() == pools[t].T.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the exact kernel reducer
 # ---------------------------------------------------------------------------
@@ -172,7 +193,8 @@ def test_fmean_is_fsum_bitwise_on_dmft_path_products():
     run_dmft(st, 4)
     t = st.t_eta
     arrays = [st.ell_vals[t] * st.ell_vals[r] for r in range(t + 1)]
-    arrays += [st.r_eta_ts[t][:, s] for s in range(t)]
+    arrays += [st.r_eta_ts[t][s] for s in range(t)]
+    arrays += [st.r_eta_ts[t][0][::-1]]   # a strided view of a pool row
     arrays += [st.r_eta_star[t], st.r_eta_dia[t], st.r_eta_dd[t]]
     arrays += [st.thetas[-1] * st.thetas[r] for r in range(len(st.thetas))]
     arrays += [st.thetas[-1] * st.theta_star, st.etas[0] * st.Ts_y]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from dmftsim import fixed_point
 from dmftsim.dmft import fmean
 from dmftsim.fixed_point import (
+    R_RESIDUAL_TOL,
     FixedPointState,
     NoRootError,
     SolverConfig,
@@ -64,6 +66,78 @@ def test_solve_R_theta_no_root_error():
         solve_R_theta(-np.ones(10), delta=2.0, lambda_ridge=0.0)
     assert pole_radius(-2.0 * np.ones(3)) == 0.5
     assert pole_radius(np.ones(3)) == np.inf
+
+
+def solve_R_theta_200_steps(d1, delta, lambda_ridge):
+    """solve_R_theta as it was before its bisection stopped at a fixed point:
+    up to 200 steps with only the relative-width stop rule."""
+    d1 = np.asarray(d1, dtype=float)
+
+    def g(R):
+        q = d1 * R
+        return lambda_ridge * R + delta * float(np.mean(q / (1.0 + q))) - 1.0
+
+    cap = min(1e6, pole_radius(d1) * (1.0 - 1e-12))
+    hi = min(1.0, cap)
+    while g(hi) <= 0.0:
+        hi = min(2.0 * hi, cap)
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    R = 0.5 * (lo + hi)
+    if abs(g(R)) > R_RESIDUAL_TOL:
+        for _ in range(30):
+            gl, gh = g(lo), g(hi)
+            if gh == gl:
+                break
+            R = lo - gl * (hi - lo) / (gh - gl)
+            if not (lo < R < hi):
+                R = 0.5 * (lo + hi)
+            if g(R) > 0:
+                hi = R
+            else:
+                lo = R
+        R = 0.5 * (lo + hi)
+    return float(R)
+
+
+class MeanCounter:
+    """Stands in for numpy inside fixed_point and counts np.mean calls, one
+    per residual evaluation of solve_R_theta."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def mean(self, *args, **kwargs):
+        self.calls += 1
+        return np.mean(*args, **kwargs)
+
+
+@pytest.mark.parametrize("low, high, delta, lam, root_range", [
+    (0.1, 5.0, 10.0, 0.1, (0.0, 0.5)),
+    (0.2, 1.0, 2.0, 0.5, (0.5, 1.0)),
+    (-0.05, 1.0, 2.0, 0.5, (0.5, 1.0)),   # d1 < 0: bracket capped below a pole
+    (0.1, 1.0, 0.5, 0.2, (1.0, 8.0)),
+])
+def test_solve_R_theta_stops_at_its_fixed_point(monkeypatch, low, high, delta,
+                                                lam, root_range):
+    d1 = np.random.default_rng(7).uniform(low, high, size=20_000)
+    expected = solve_R_theta_200_steps(d1, delta, lam)
+    assert root_range[0] < expected < root_range[1]
+    counter = MeanCounter()
+    monkeypatch.setattr(fixed_point, "np", counter)
+    R = solve_R_theta(d1, delta, lam)
+    assert R.hex() == expected.hex()
+    assert counter.calls <= 64
 
 
 def test_solve_eta_trivial_cases():

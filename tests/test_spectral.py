@@ -257,6 +257,32 @@ def test_lambda_star_weak_recovery_error():
                           QuadratureSpec(z_samples=5000, seed=1))
 
 
+def test_eta_integrals_equal_direct_weighted_sums_bitwise():
+    # Gaussian noise, so the grid has one column per z draw
+    quad = QuadratureSpec(gh_nodes=32, z_samples=500, seed=3)
+    noise = gaussian_dist(0.5)
+    integ = EtaIntegrals(PRE3, abs_link(), noise, quad)
+    nodes, gh_weights = np.polynomial.hermite.hermgauss(quad.gh_nodes)
+    g = np.sqrt(2.0) * nodes
+    zs = noise.sample(np.random.default_rng(quad.seed), quad.z_samples)
+    assert np.unique(zs).size > 1
+    G, Z = np.meshgrid(g, zs, indexing="ij")
+    weights = np.outer(gh_weights / np.sqrt(np.pi),
+                       np.full(zs.size, 1.0 / zs.size)).ravel()
+    G2 = G.ravel() ** 2
+    Zs = PRE3.Ts(abs_link().eval(G.ravel(), Z.ravel()))
+    assert np.array_equal(integ.Zs, Zs)
+    for lam in integ.tau + np.geomspace(1e-3, 10.0, 25):
+        direct = {
+            "e_frac": np.sum(weights * Zs / (lam - Zs)),
+            "e_frac2": np.sum(weights * Zs / (lam - Zs) ** 2),
+            "e_g2frac": np.sum(weights * Zs * G2 / (lam - Zs)),
+            "e_g2frac2": np.sum(weights * Zs * G2 / (lam - Zs) ** 2),
+        }
+        for name, value in direct.items():
+            assert getattr(integ, name)(lam).hex() == float(value).hex(), name
+
+
 def test_near_pole_evaluation_refused():
     integ = EtaIntegrals(PRE3, abs_link(), point_mass_dist(0.0),
                          QuadratureSpec())
