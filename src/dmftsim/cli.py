@@ -21,9 +21,9 @@ from . import dmft as dmft_mod
 from . import fixed_point as fp_mod
 from . import metrics
 from .config import ConfigError, ExperimentConfig, load_config
-from .gd import GdConfig, empirical_joint, loss_value, run_gd
+from .gd import empirical_joint, loss_value, run_gd
 from .model import make_instance
-from .spectral import QuadratureSpec, solve_lambda_star, spectral_estimator
+from .spectral import solve_lambda_star, spectral_estimator
 
 FLOAT_FMT = "%.17g"
 
@@ -61,15 +61,6 @@ def _write_samples(path_base: Path, arr: np.ndarray, fmt: str) -> Path:
     return path
 
 
-def _quad(cfg: ExperimentConfig) -> QuadratureSpec:
-    return QuadratureSpec(gh_nodes=cfg.gh_nodes, z_samples=cfg.z_samples,
-                          seed=cfg.quad_seed)
-
-
-def _mc(cfg: ExperimentConfig) -> dmft_mod.MonteCarloSpec:
-    return dmft_mod.MonteCarloSpec(K=cfg.dmft_K, seed=cfg.dmft_seed)
-
-
 class Runner:
     """Caches the expensive intermediates shared between pipeline stages."""
 
@@ -80,10 +71,14 @@ class Runner:
     # -- shared intermediates ---------------------------------------------
 
     @cached_property
+    def loss(self):
+        return self.cfg.loss()
+
+    @cached_property
     def lam_sol(self):
         cfg = self.cfg
         return solve_lambda_star(
-            cfg.preprocess(), cfg.link(), cfg.noise(), cfg.delta, _quad(cfg))
+            cfg.preprocess(), cfg.link(), cfg.noise(), cfg.delta, cfg.quadrature())
 
     @cached_property
     def inst(self):
@@ -106,20 +101,21 @@ class Runner:
 
     @cached_property
     def traj(self):
-        cfg = self.cfg
-        gd_cfg = GdConfig(gamma=cfg.gamma, lambda_ridge=cfg.lambda_ridge, m=cfg.m)
-        return run_gd(self.inst, cfg.loss(), gd_cfg, self.theta0)
+        return run_gd(self.inst, self.loss, self.cfg.gd(), self.theta0)
 
     @cached_property
     def dmft(self) -> tuple[dmft_mod.DmftState, dmft_mod.DmftLaw]:
-        """The DMFT state run to horizon m, and the law that run returns."""
+        """The DMFT state run to horizon m, with its path pools released,
+        and the law that run returns."""
         cfg = self.cfg
         state = dmft_mod.init_dmft(
-            cfg.loss(), cfg.link(), cfg.noise(), cfg.preprocess(),
+            self.loss, cfg.link(), cfg.noise(), cfg.preprocess(),
             self.lam_sol, cfg.delta, cfg.gamma, cfg.lambda_ridge,
-            _mc(cfg), signal=cfg.signal(),
+            cfg.monte_carlo(), signal=cfg.signal(),
             independent_init=(cfg.init == "independent"))
-        return state, dmft_mod.run_dmft(state, cfg.m)
+        law = dmft_mod.run_dmft(state, cfg.m)
+        state.release_paths()
+        return state, law
 
     @cached_property
     def fixed_point(self):
@@ -127,12 +123,19 @@ class Runner:
         init = None
         if cfg.fp_warm_start == "dmft":
             init = fp_mod.warm_start_from_dmft(self.dmft[0])
-        sol_cfg = fp_mod.SolverConfig(K=cfg.fp_K, damping=cfg.fp_damping,
-                                      tol=cfg.fp_tol, max_outer=cfg.fp_max_outer,
-                                      seed=cfg.fp_seed)
         return fp_mod.iterate_fixed_point(
-            cfg.loss(), cfg.noise(), cfg.delta, cfg.lambda_ridge, sol_cfg,
+            self.loss, cfg.noise(), cfg.delta, cfg.lambda_ridge, cfg.solver(),
             init=init, signal=cfg.signal())
+
+    def drop_design_matrix(self, remaining) -> None:
+        """Drop ``inst.X`` once none of the ``remaining`` stages can read it:
+        spectral and amp-check read it, simulate and compare through
+        ``traj`` until that is cached."""
+        readers = {"spectral", "amp-check"}
+        if "traj" not in vars(self):
+            readers |= {"simulate", "compare"}
+        if "inst" in vars(self) and readers.isdisjoint(remaining):
+            self.inst = replace(self.inst, X=None)
 
     # -- stages -------------------------------------------------------------
 
@@ -153,10 +156,9 @@ class Runner:
         return {"ok": True}
 
     def stage_simulate(self) -> dict:
-        cfg = self.cfg
         inst = self.inst
         traj = self.traj
-        loss = cfg.loss()
+        loss = self.loss
         sqd = np.sqrt(inst.d)
         with open(self.out / "trajectory.csv", "w") as fh:
             fh.write("t,dist,overlap,loss\n")
@@ -212,7 +214,7 @@ class Runner:
     def stage_fixed_point(self) -> dict:
         cfg = self.cfg
         fp = self.fixed_point
-        res = fp_mod.fixed_point_residuals(fp, cfg.loss(), cfg.delta, cfg.lambda_ridge)
+        res = fp_mod.fixed_point_residuals(fp, self.loss, cfg.delta, cfg.lambda_ridge)
         record = {
             "R_theta_inf": fp.R_theta_inf,
             "R_eta_inf": fp.R_eta_inf,
@@ -235,7 +237,7 @@ class Runner:
         table = amp_mod.onsager_from_dmft(state, cfg.m)
         run = amp_mod.run_spectral_amp(
             self.inst, cfg.preprocess(), self.lam_sol, self.theta0,
-            table, cfg.loss(), cfg.gamma, cfg.lambda_ridge, cfg.m)
+            table, self.loss, cfg.gamma, cfg.lambda_ridge, cfg.m)
         err_theta, err_eta = amp_mod.verify_equivalence(run, self.traj)
         se = amp_mod.se_check(run, law, self.theta0,
                               self.inst.theta_star, cfg.delta)
@@ -298,8 +300,14 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> int:
              "compare"]
     requested = [s for s in order if s in cfg.pipeline_stages]
     status = {}
-    for name in requested:
-        status[name] = Runner.STAGES[name](runner)
+    for i, name in enumerate(requested):
+        try:
+            status[name] = Runner.STAGES[name](runner)
+        except Exception as exc:
+            status[name] = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            _write_json(out_dir / "pipeline_status.json", status)
+            raise
+        runner.drop_design_matrix(requested[i + 1:])
     _write_json(out_dir / "pipeline_status.json", status)
     return 0 if all(v["ok"] for v in status.values()) else 1
 

@@ -6,6 +6,10 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from pathlib import Path
+
+from .dmft import MonteCarloSpec
+from .fixed_point import SolverConfig
+from .gd import GdConfig
 from .model import (
     LinkFunction,
     LossModel,
@@ -16,6 +20,7 @@ from .model import (
     make_loss,
     make_preprocess,
 )
+from .spectral import QuadratureSpec
 
 
 class ConfigError(ValueError):
@@ -79,6 +84,20 @@ class ExperimentConfig:
 
     def preprocess(self) -> PreProcess:
         return make_preprocess(self.preprocess_name, **self.preprocess_params)
+
+    def quadrature(self) -> QuadratureSpec:
+        return QuadratureSpec(gh_nodes=self.gh_nodes, z_samples=self.z_samples,
+                              seed=self.quad_seed)
+
+    def monte_carlo(self) -> MonteCarloSpec:
+        return MonteCarloSpec(K=self.dmft_K, seed=self.dmft_seed)
+
+    def solver(self) -> SolverConfig:
+        return SolverConfig(K=self.fp_K, damping=self.fp_damping, tol=self.fp_tol,
+                            max_outer=self.fp_max_outer, seed=self.fp_seed)
+
+    def gd(self) -> GdConfig:
+        return GdConfig(gamma=self.gamma, lambda_ridge=self.lambda_ridge, m=self.m)
 
 
 _DEFAULTS = {
@@ -217,6 +236,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
         cfg.preprocess()
     except KeyError as exc:
         raise ConfigError(f"field loss.preprocess: {exc.args[0]}") from exc
+    # each spec's ValueError starts with the attribute it refuses
+    for build, fields in (
+        (cfg.quadrature, {"gh_nodes": "spectral.gh_nodes",
+                          "z_samples": "spectral.z_samples"}),
+        (cfg.monte_carlo, {"K": "dmft.K"}),
+        (cfg.solver, {"K": "fixedpoint.K", "damping": "fixedpoint.damping",
+                      "tol": "fixedpoint.tol", "max_outer": "fixedpoint.max_outer"}),
+        (cfg.gd, {"gamma": "algo.gamma", "lambda_ridge": "algo.lambda_ridge",
+                  "m": "algo.m"}),
+    ):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"field {fields[str(exc).split()[0]]}: {exc}") from exc
     if cfg.sample_format not in ("npy", "csv"):
         raise ConfigError(f"field outputs.sample_format: {cfg.sample_format!r}")
     if cfg.fp_warm_start not in ("dmft", "none"):

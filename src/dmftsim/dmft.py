@@ -316,6 +316,7 @@ class DmftState:
 
         self.t_eta = -1     # last t with eta^t computed
         self.t_theta = 0    # last t with theta^t computed
+        self.released = False
 
         # per-path constants created in step_eta(0)
         self.w_star: Optional[Array] = None
@@ -323,6 +324,25 @@ class DmftState:
         self.Ty: Optional[Array] = None
         self.Ts_y: Optional[Array] = None
         self.dd_source: Optional[Array] = None  # T'(y) phi'(w*, z) w^0
+
+    def release_paths(self) -> None:
+        """Drop every K-path array: the sample pools, the per-path
+        responses and constants, and both processes' values and
+        innovations.  Kernels, responses, ``min_eig_before_jitter`` and
+        ``zero_pivots`` stay; the state can no longer be stepped."""
+        self.z = self.theta_star = self.u_dia = None
+        self.w_star = self.y = self.Ty = self.Ts_y = self.dd_source = None
+        self.thetas, self.etas, self.ell_vals, self.d1_vals = [], [], [], []
+        self.r_eta_ts = {}
+        self.r_eta_star, self.r_eta_dia, self.r_eta_dd = [], [], []
+        for proc in (self.w_proc, self.u_proc):
+            proc.innovations, proc.values = [], []
+        self.released = True
+
+    def _check_not_released(self) -> None:
+        if self.released:
+            raise RuntimeError("DMFT state was released by release_paths(); "
+                               "its path pools are gone and it cannot be stepped")
 
     # -- helpers ----------------------------------------------------------
 
@@ -347,6 +367,7 @@ class DmftState:
 
     def step_eta(self) -> None:
         """Compute eta^t and all eta-side kernels at t = t_eta + 1."""
+        self._check_not_released()
         t = self.t_eta + 1
         if t > self.t_theta:
             raise RuntimeError("theta side not advanced far enough")
@@ -443,6 +464,7 @@ class DmftState:
 
     def step_theta(self) -> None:
         """Compute theta^{t+1} and theta-side kernels; needs eta side at t."""
+        self._check_not_released()
         t = self.t_theta
         if self.t_eta < t:
             raise RuntimeError("eta side not advanced far enough")
@@ -515,6 +537,7 @@ class DmftState:
         return M
 
     def law(self) -> DmftLaw:
+        self._check_not_released()
         m = self.t_eta
         theta_samples = np.column_stack(self.thetas[: m + 1] + [self.theta_star])
         eta_samples = np.column_stack(self.etas[: m + 1] + [self.w_star, self.z])

@@ -38,7 +38,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
+        if not self.tol > 0:    # also refuses nan
             raise ValueError("tol must be positive")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")

@@ -24,12 +24,13 @@ class GdConfig:
     record_eta: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0:
+        # "not >=" also refuses nan
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
-        if self.lambda_ridge < 0:
+        if not self.lambda_ridge >= 0:
             raise ValueError("lambda_ridge must be >= 0")
         if self.m < 0:
-            raise ValueError("horizon m must be >= 0")
+            raise ValueError("m must be >= 0 (the horizon)")
 
 
 @dataclass(frozen=True)

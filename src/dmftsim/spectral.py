@@ -41,6 +41,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.gh_nodes < 16:
             raise ValueError("gh_nodes must be >= 16")
+        if self.z_samples < 1:
+            raise ValueError("z_samples must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """End-to-end CLI tests: config validation, artifacts, reproducibility."""
 
+import configparser
 import filecmp
 import json
+import warnings
 
 import pytest
 
-from dmftsim.cli import main
+from dmftsim import cli
+from dmftsim.cli import Runner, main
 from dmftsim.config import ConfigError, load_config
+from dmftsim.dmft import DmftState
+from dmftsim.gd import run_gd
 
 BASE_CFG = """
 [model]
@@ -241,3 +246,100 @@ def test_amp_check_with_independent_init_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert "outputs.stages" in err and "algo.init" in err
     assert not (tmp_path / "out").exists()
+
+
+def write_cfg_with(tmp_path, section, key, value, **kw):
+    """write_cfg with one field overridden."""
+    cp = configparser.ConfigParser()
+    cp.read(write_cfg(tmp_path, **kw))
+    cp.set(section, key, value)
+    path = tmp_path / "override.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("algo", "m", "-1"),
+    ("algo", "gamma", "-0.1"),
+    ("algo", "gamma", "nan"),
+    ("algo", "lambda_ridge", "-1"),
+    ("spectral", "gh_nodes", "8"),
+    ("spectral", "z_samples", "0"),
+    ("dmft", "K", "0"),
+    ("fixedpoint", "K", "0"),
+    ("fixedpoint", "damping", "0"),
+    ("fixedpoint", "tol", "0"),
+    ("fixedpoint", "tol", "nan"),
+    ("fixedpoint", "max_outer", "0"),
+])
+def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
+    path = write_cfg_with(tmp_path, section, key, value,
+                          stages="spectral,simulate,dmft,fixed-point,compare")
+    code = main(["pipeline", "--config", str(path)])
+    assert code == 2
+    assert f"field {section}.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_raising_stage_is_recorded_in_pipeline_status(tmp_path, monkeypatch):
+    def boom(runner):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(Runner.STAGES, "dmft", boom)
+    path = write_cfg(tmp_path, stages="spectral,dmft,compare")
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["pipeline", "--config", str(path)])
+    status = json.loads((tmp_path / "out" / "pipeline_status.json").read_text())
+    assert status == {"spectral": {"ok": True},
+                      "dmft": {"ok": False, "error": "RuntimeError: boom"}}
+
+
+@pytest.mark.parametrize("stages,present", [
+    ("spectral,simulate,dmft,fixed-point,compare",
+     {"spectral": True, "simulate": True, "dmft": False, "fixed-point": False,
+      "compare": False}),
+    ("spectral,simulate,dmft,amp-check,fixed-point,compare",
+     {"spectral": True, "simulate": True, "dmft": True, "amp-check": True,
+      "fixed-point": False, "compare": False}),
+    ("dmft,compare", {"dmft": True, "compare": True}),
+])
+def test_pipeline_drops_design_matrix_after_its_last_reader(
+        tmp_path, monkeypatch, stages, present):
+    seen = {}
+
+    def recording(name, fn):
+        def stage(runner):
+            seen[name] = runner.inst.X is not None
+            return fn(runner)
+        return stage
+    for name, fn in list(Runner.STAGES.items()):
+        monkeypatch.setitem(Runner.STAGES, name, recording(name, fn))
+    gd_saw_X = []
+
+    def recording_run_gd(inst, *args):
+        gd_saw_X.append(inst.X is not None)
+        return run_gd(inst, *args)
+    monkeypatch.setattr(cli, "run_gd", recording_run_gd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        main(["pipeline", "--config", str(write_cfg(tmp_path, stages=stages))])
+    assert seen == present
+    assert gd_saw_X == [True]
+
+
+def test_pipeline_artifacts_equal_unreleased_stage_by_stage_runs(tmp_path, monkeypatch):
+    stages = ["spectral", "simulate", "dmft", "amp-check", "fixed-point", "compare"]
+    path = write_cfg(tmp_path, stages=",".join(stages))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        main(["pipeline", "--config", str(path)])
+        monkeypatch.setattr(DmftState, "release_paths", lambda self: None)
+        single = {}
+        for name in stages:
+            out = tmp_path / f"single_{name}"
+            main([name, "--config", str(path), "--out", str(out)])
+            single.update({p.name: p for p in out.iterdir()})
+    pipeline = {p.name: p for p in (tmp_path / "out").iterdir()}
+    assert sorted(single) == sorted(set(pipeline) - {"pipeline_status.json"})
+    for name, p in single.items():
+        assert p.read_bytes() == pipeline[name].read_bytes(), name

@@ -3,11 +3,13 @@ consistency, kernel estimation, the exact kernel reducer, and the
 independent-init degeneration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from dmftsim.amp import onsager_from_dmft
 from dmftsim.dmft import (
     IncrementalGaussian,
     MonteCarloSpec,
@@ -16,6 +18,7 @@ from dmftsim.dmft import (
     run_dmft,
     tti_diagnostics,
 )
+from dmftsim.fixed_point import warm_start_from_dmft
 from dmftsim.model import (
     LossModel,
     abs_link,
@@ -247,6 +250,64 @@ def test_horizon_prefix_immutability():
     n_th = short.C_theta.shape[0]
     assert np.array_equal(short.C_theta, long.C_theta[:n_th, :n_th])
     assert np.array_equal(short.C_eta, long.C_eta[:4, :4])
+
+
+def _path_arrays(obj, K):
+    """Names of the attributes of obj holding, directly or in a list, tuple
+    or dict, an array with an axis of length K."""
+    def holds(v):
+        if isinstance(v, dict):
+            return any(holds(x) for x in v.values())
+        if isinstance(v, (list, tuple)):
+            return any(holds(x) for x in v)
+        return isinstance(v, np.ndarray) and K in v.shape
+    return sorted(name for name, v in vars(obj).items() if holds(v))
+
+
+def _kernel_bytes(st):
+    """Every kernel, response and PSD diagnostic of a state, as bytes."""
+    arr = lambda v: np.asarray(v, dtype=float).tobytes()
+    out = {name: arr(getattr(st, name)) for name in (
+        "C_theta", "c_theta_star", "r_theta_dia", "C_eta", "c_eta_dia",
+        "R_eta_star", "R_eta_dia", "R_eta_dd", "Gamma", "e_d1", "e_d1_T_t0")}
+    out["r_theta"] = [arr(st.r_theta[t]) for t in sorted(st.r_theta)]
+    out["R_eta"] = [arr(st.R_eta[t]) for t in sorted(st.R_eta)]
+    for proc in (st.w_proc, st.u_proc):
+        out[proc.label] = (arr(proc.min_eig_before_jitter), list(proc.zero_pivots),
+                           [arr(r) for r in proc.rows], [arr(c) for c in proc.cov])
+    return out
+
+
+def test_release_paths_drops_path_arrays_and_keeps_kernels():
+    # long enough for the TTI diagnostics and for zero pivots
+    K, m = 2000, 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        full = long_time_state(K=K)
+        law_full = run_dmft(full, m)
+        rel = long_time_state(K=K)
+        law_rel = run_dmft(rel, m)
+    assert rel.w_proc.zero_pivots or rel.u_proc.zero_pivots
+    assert _path_arrays(rel, K) and _path_arrays(rel.w_proc, K)
+    rel.release_paths()
+    assert _path_arrays(rel, K) == []
+    assert _path_arrays(rel.w_proc, K) == [] and _path_arrays(rel.u_proc, K) == []
+
+    assert _kernel_bytes(rel) == _kernel_bytes(full)
+    for name in ("theta_samples", "eta_samples", "u_diamond", "u_samples"):
+        assert getattr(law_rel, name).tobytes() == getattr(law_full, name).tobytes()
+    # the readers after the DMFT stage see the same numbers
+    a, b = tti_diagnostics(rel), tti_diagnostics(full)
+    assert (a.fit_slope, a.tti_dev) == (b.fit_slope, b.tti_dev)
+    ta, tb = onsager_from_dmft(rel, m), onsager_from_dmft(full, m)
+    assert (ta.xi.tobytes(), ta.zeta.tobytes()) == (tb.xi.tobytes(), tb.zeta.tobytes())
+    wa, wb = warm_start_from_dmft(rel), warm_start_from_dmft(full)
+    assert (wa.R_theta_inf, wa.C_theta_inf.tobytes()) == (
+        wb.R_theta_inf, wb.C_theta_inf.tobytes())
+
+    for step in (rel.step_eta, rel.step_theta, rel.law):
+        with pytest.raises(RuntimeError, match="released"):
+            step()
 
 
 def test_kernel_symmetry_exact():
