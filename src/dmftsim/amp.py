@@ -82,13 +82,9 @@ def random_onsager_table(m: int, rng: np.random.Generator) -> OnsagerTable:
     return OnsagerTable(xi=xi, zeta=zeta)
 
 
-def onsager_from_dmft(state: DmftState, m: int | None = None) -> OnsagerTable:
+def onsager_from_dmft(state: DmftState, m: int) -> OnsagerTable:
     """Tables implied by the DMFT kernels through the response
-    correspondence (zeta ~ delta R_theta, xi ~ R_eta / delta).
-
-    Defaults to the largest horizon the state supports."""
-    if m is None:
-        m = state.t_theta
+    correspondence (zeta ~ delta R_theta, xi ~ R_eta / delta)."""
     if state.t_theta < m or state.t_eta < max(m - 1, 0):
         raise ValueError(
             f"DMFT horizon too short for m={m}: theta side at {state.t_theta}, "
@@ -100,15 +96,15 @@ def onsager_from_dmft(state: DmftState, m: int | None = None) -> OnsagerTable:
     for i in range(1, m + 1):
         zeta[i, 0, 0, 0] = state.r_theta_dia[i]
         for j in range(i):
-            zeta[i, j + 1, 0, 0] = delta * state.r_theta[i][j]
+            zeta[i, j + 1, 0, 0] = delta * state.R_theta[i, j]
     for i in range(m):
         if i == 0:
             xi[0, 0, 0, 0] = state.e_d1_T_t0
         else:
             xi[i, i, 0, 0] = state.e_d1[i]
-            xi[i, 0, 0, 0] = (state.R_eta[i][0] + state.R_eta_dia[i]) / delta
+            xi[i, 0, 0, 0] = (state.R_eta[i, 0] + state.R_eta_dia[i]) / delta
             for j in range(1, i):
-                xi[i, j, 0, 0] = state.R_eta[i][j] / delta
+                xi[i, j, 0, 0] = state.R_eta[i, j] / delta
         xi[i, 0, 1, 0] = (state.R_eta_star[i] + state.R_eta_dd[i]) / delta
     return OnsagerTable(xi=xi, zeta=zeta)
 

@@ -51,7 +51,9 @@ def _write_matrix_csv(path: Path, M: np.ndarray, corner: str = "t\\s") -> None:
 def _write_samples(path_base: Path, arr: np.ndarray, fmt: str) -> Path:
     if fmt == "npy":
         path = path_base.with_suffix(".npy")
-        np.save(path, arr)
+        # the law's sample arrays are transposed views of the DMFT pools;
+        # save them C-ordered so the file does not depend on the pool layout
+        np.save(path, np.ascontiguousarray(arr))
     else:
         path = path_base.with_suffix(".csv")
         with open(path, "w") as fh:
@@ -175,9 +177,9 @@ class Runner:
         out = self.out
         m = state.t_eta
         _write_matrix_csv(out / "C_theta.csv", state.C_theta)
-        _write_matrix_csv(out / "R_theta.csv", state.R_theta_matrix())
+        _write_matrix_csv(out / "R_theta.csv", state.R_theta)
         _write_matrix_csv(out / "C_eta.csv", state.C_eta)
-        _write_matrix_csv(out / "R_eta.csv", state.R_eta_matrix())
+        _write_matrix_csv(out / "R_eta.csv", state.R_eta)
         cols = {
             "C_theta_star": np.asarray(state.c_theta_star),
             "R_theta_diamond": np.asarray(state.r_theta_dia),

@@ -125,8 +125,6 @@ def _get(cp, section, key, cast, required=False):
     else:
         return None
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"field {section}.{key}: cannot parse {raw!r}") from exc
@@ -250,6 +248,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             build()
         except ValueError as exc:
             raise ConfigError(f"field {fields[str(exc).split()[0]]}: {exc}") from exc
+    for key in ("w2_tol", "cov_tol"):
+        if not getattr(cfg, key) >= 0:    # also refuses nan
+            raise ConfigError(f"field compare.{key}: must be >= 0, "
+                              f"got {getattr(cfg, key)}")
     if cfg.sample_format not in ("npy", "csv"):
         raise ConfigError(f"field outputs.sample_format: {cfg.sample_format!r}")
     if cfg.fp_warm_start not in ("dmft", "none"):

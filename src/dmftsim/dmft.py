@@ -92,7 +92,11 @@ class MonteCarloSpec:
 
 @dataclass(frozen=True)
 class DmftLaw:
-    """Sample pools of the DMFT law at horizon m."""
+    """Sample pools of the DMFT law at horizon m.
+
+    Every array is a view of the state's pools, not a copy: the sample
+    matrices are the transposes of the ``(t, K)`` pools, so they are
+    Fortran-ordered."""
 
     theta_samples: Array   # (K, m+2): theta^0..theta^m, theta*
     eta_samples: Array     # (K, m+3): eta^0..eta^m, w*, z
@@ -104,9 +108,11 @@ class DmftLaw:
 class IncrementalGaussian:
     """Jointly consistent Gaussian coordinates grown one at a time.
 
-    Coordinate j equals sum_k L[j, k] xi_k for a lower-triangular L grown row
-    by row from the target covariance; the xi_k are per-path standard normal
-    innovations supplied at creation of coordinate k.
+    Coordinate j equals sum_k L[j, k] xi_k for a lower-triangular L filled
+    row by row from the target covariance S; the xi_k are per-path standard
+    normal innovations supplied at creation of coordinate k.  L, S and the
+    ``(dim, K)`` innovations and values are allocated once for ``dim``
+    coordinates; ``n`` of them are filled.
 
     A slightly negative Schur complement is absorbed by a diagonal jitter
     (``BASE_JITTER``, then ``JITTER_LADDER``).  Beyond the ladder, the
@@ -123,35 +129,28 @@ class IncrementalGaussian:
     coordinate is refused with ``LinAlgError`` too.
     """
 
-    def __init__(self, K: int, label: str):
+    def __init__(self, dim: int, K: int, label: str):
         self.K = K
         self.label = label
-        self.rows: list[Array] = []          # rows of L
-        self.cov: list[Array] = []           # rows of the target covariance
-        self.innovations: list[Array] = []   # (K,) standard normals
-        self.values: list[Array] = []        # (K,) realized coordinates
+        self.n = 0
+        self.L = np.zeros((dim, dim))            # lower-triangular factor
+        self.S = np.zeros((dim, dim))            # target covariance
+        self.innovations = np.empty((dim, K))    # standard normals
+        self.values = np.empty((dim, K))         # realized coordinates
         self.min_eig_before_jitter: list[float] = []
-        self.zero_pivots: list[int] = []     # coordinates with L[j, j] = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+        self.zero_pivots: list[int] = []         # coordinates with L[j, j] = 0
 
     def add(self, cov_with_prev: Array, variance: float, innovation: Array) -> Array:
         """Append a coordinate with given covariances against the existing
         ones and marginal variance; returns its (K,) realization."""
-        idx = self.dim
+        idx = self.n
         c = np.asarray(cov_with_prev, dtype=float)
         if c.shape != (idx,):
             raise ValueError(f"covariance vector must have length {idx}")
         # PSD diagnostic on the full covariance block, before any jitter.
-        full = np.empty((idx + 1, idx + 1))
-        for j, row in enumerate(self.cov):
-            full[j, : j + 1] = row
-            full[: j + 1, j] = row
-        full[idx, :idx] = c
-        full[:idx, idx] = c
-        full[idx, idx] = variance
+        self.S[idx, :idx] = self.S[:idx, idx] = c
+        self.S[idx, idx] = variance
+        full = self.S[: idx + 1, : idx + 1]
         self.min_eig_before_jitter.append(
             float(scipy.linalg.eigvalsh(full)[0]) if idx > 0 else float(variance))
 
@@ -159,15 +158,12 @@ class IncrementalGaussian:
             l_part = np.zeros(0)
             dsq = variance
         else:
-            Lmat = np.zeros((idx, idx))
-            for j, row in enumerate(self.rows):
-                Lmat[j, : j + 1] = row
             # zero-pivot rows are combinations of earlier rows; solve over
             # the nonzero pivots with l = 0 on zero-pivot columns
-            keep = np.flatnonzero(np.diag(Lmat))
+            keep = np.flatnonzero(np.diag(self.L)[:idx])
             l_part = np.zeros(idx)
             l_part[keep] = scipy.linalg.solve_triangular(
-                Lmat[np.ix_(keep, keep)], c[keep], lower=True)
+                self.L[np.ix_(keep, keep)], c[keep], lower=True)
             dsq = variance - float(l_part @ l_part)
         if dsq > 0.0:
             jitter = 0.0
@@ -204,19 +200,27 @@ class IncrementalGaussian:
                 self.zero_pivots.append(idx)
                 jitter = -dsq   # dsq + jitter == 0.0 exactly: a zero pivot
         diag = np.sqrt(dsq + jitter)
-        value = diag * innovation
+        self.innovations[idx] = innovation
+        value = np.multiply(self.innovations[idx], diag, out=self.values[idx])
         for k in range(idx):
             if l_part[k] != 0.0:
-                value = value + l_part[k] * self.innovations[k]
-        self.rows.append(np.append(l_part, diag))
-        self.cov.append(np.append(c, variance))
-        self.innovations.append(np.asarray(innovation, dtype=float))
-        self.values.append(value)
+                value += l_part[k] * self.innovations[k]
+        self.L[idx, :idx] = l_part
+        self.L[idx, idx] = diag
+        self.n = idx + 1
         return value
 
 
 class DmftState:
-    """Kernels, responses, and Monte Carlo path pools of the DMFT system."""
+    """Kernels, responses, and Monte Carlo path pools of the DMFT system.
+
+    ``allocate(m)`` (called by ``run_dmft``) sizes every pool and kernel once
+    for horizon m, with time as the leading axis: the ``(m+2, K)`` theta pool
+    ends with theta*, the ``(m+3, K)`` eta pool with w* and z, and the
+    kernels are ``(m+1, m+1)`` matrices.  The steps write one row at a time,
+    and the law returned by ``law()`` holds views of these pools.  The
+    per-path eta responses stay as ``r_eta_ts[t]`` of shape ``(t, K)``.
+    """
 
     def __init__(
         self,
@@ -235,6 +239,8 @@ class DmftState:
     ):
         self.loss = loss
         self.link = link
+        self.noise = noise
+        self.signal = signal
         self.pre = pre
         self.lam_star = float(lam_star)
         self.a = float(overlap_a)
@@ -245,68 +251,25 @@ class DmftState:
         self.seed = mc.seed
         self.independent_init = independent_init
         self.rng = np.random.default_rng(mc.seed)
-
-        K = self.K
-        # Draw order is fixed: z, theta*, slot-0 innovation.  Later
-        # innovations are drawn one column per step so that runs to different
-        # horizons share an identical stream prefix.
-        self.z = np.asarray(noise.sample(self.rng, K), dtype=float)
-        theta_star = np.asarray(signal.sample(self.rng, K), dtype=float)
         if abs(signal.second_moment - 1.0) > 1e-12:
             warnings.warn(
                 "signal second moment != 1; DMFT normalization assumes "
                 "E[(theta*)^2] = 1", RuntimeWarning)
-        # pin the C_theta(*,*) = 1 invariant exactly on the sample pool
-        self.theta_star = theta_star / np.sqrt(fmean(theta_star**2))
-        slot0 = self.rng.standard_normal(K)
-        # In-sample orthogonalization of the slot-0 draw against theta*: the
-        # t = 0 kernels are exact constants (C(0,0) = 1, C(0,*) = a), and the
-        # sampling covariance of (w*, w^0, ...) is the sample Gram matrix of
-        # the theta pool, so the pool must realize those constants exactly or
-        # the mixed matrix loses positive semi-definiteness at MC-noise scale.
-        orth = slot0 - fmean(slot0 * self.theta_star) * self.theta_star
-        unit = orth / np.sqrt(fmean(orth**2))
+        self.m: Optional[int] = None    # horizon, set by allocate
 
-        self.u_proc = IncrementalGaussian(K, "u-process")
-        self.w_proc = IncrementalGaussian(K, "w-process")
-
-        if independent_init:
-            theta0 = unit.copy()
-            c00 = 1.0
-            c0star = 0.0
-            u_dia = self.u_proc.add(np.zeros(0), 1.0, unit)  # inert coordinate
-        else:
-            dia_var = 1.0 - self.a**2
-            u_dia = self.u_proc.add(np.zeros(0), dia_var, unit)
-            theta0 = self.a * self.theta_star + u_dia
-            c00 = 1.0
-            c0star = self.a
-        self.u_dia = u_dia
-        self.thetas: list[Array] = [theta0]
-
-        cap = 1
-        self.C_theta = np.full((cap, cap), np.nan)
-        self.C_theta[0, 0] = c00
-        self.c_theta_star = [c0star]
         self.C_star_star = 1.0
-
-        # deterministic theta responses; R_theta == r_theta
-        self.r_theta: dict[int, Array] = {0: np.zeros(0)}
+        self.c_theta_star = [0.0 if independent_init else self.a]
+        # deterministic theta responses
         self.r_theta_dia: list[float] = [0.0 if independent_init else 1.0]
 
-        # eta side, filled by step_eta
-        self.etas: list[Array] = []
-        self.ell_vals: list[Array] = []
-        self.d1_vals: list[Array] = []
+        # per-path eta responses, filled by step_eta
         self.r_eta_ts: dict[int, Array] = {}   # t -> (t, K)
         self.r_eta_star: list[Array] = []
         self.r_eta_dia: list[Array] = []
         self.r_eta_dd: list[Array] = []
 
-        self.C_eta = np.zeros((0, 0))
         self.c_eta_dia: list[float] = []
         self.C_eta_dia_dia = 1.0 - self.a**2
-        self.R_eta: dict[int, Array] = {}
         self.R_eta_star: list[float] = []
         self.R_eta_dia: list[float] = []
         self.R_eta_dd: list[float] = []
@@ -325,18 +288,61 @@ class DmftState:
         self.Ts_y: Optional[Array] = None
         self.dd_source: Optional[Array] = None  # T'(y) phi'(w*, z) w^0
 
+    def allocate(self, m: int) -> None:
+        """Size every pool and kernel for horizon m and write the t = 0 rows:
+        z, theta*, and theta^0 = a theta* + u_diamond."""
+        if self.m is not None:
+            raise RuntimeError(f"DMFT state is already sized for horizon {self.m}")
+        self.m = m
+        K = self.K
+        self.thetas = np.empty((m + 2, K))      # theta^0..theta^m, theta*
+        self.etas = np.empty((m + 3, K))        # eta^0..eta^m, w*, z
+        self.ell_vals = np.empty((m + 1, K))
+        self.d1_vals = np.empty((m + 1, K))
+        self.u_proc = IncrementalGaussian(m + 1, K, "u-process")  # u_dia, u^0..u^{m-1}
+        self.w_proc = IncrementalGaussian(m + 2, K, "w-process")  # w*, w^0..w^m
+        self.C_theta = np.zeros((m + 1, m + 1))
+        self.C_eta = np.zeros((m + 1, m + 1))
+        self.R_theta = np.zeros((m + 1, m + 1))   # R_theta(t, s), s < t
+        self.R_eta = np.zeros((m + 1, m + 1))     # R_eta(t, s), s < t
+
+        # Draw order is fixed: z, theta*, slot-0 innovation.  Later
+        # innovations are drawn one column per step so that runs to different
+        # horizons share an identical stream prefix.
+        self.z = self.etas[-1]
+        self.z[:] = self.noise.sample(self.rng, K)
+        theta_star = np.asarray(self.signal.sample(self.rng, K), dtype=float)
+        # pin the C_theta(*,*) = 1 invariant exactly on the sample pool
+        self.theta_star = self.thetas[-1]
+        np.divide(theta_star, np.sqrt(fmean(theta_star**2)), out=self.theta_star)
+        slot0 = self.rng.standard_normal(K)
+        # In-sample orthogonalization of the slot-0 draw against theta*: the
+        # t = 0 kernels are exact constants (C(0,0) = 1, C(0,*) = a), and the
+        # sampling covariance of (w*, w^0, ...) is the sample Gram matrix of
+        # the theta pool, so the pool must realize those constants exactly or
+        # the mixed matrix loses positive semi-definiteness at MC-noise scale.
+        orth = slot0 - fmean(slot0 * self.theta_star) * self.theta_star
+        unit = orth / np.sqrt(fmean(orth**2))
+
+        if self.independent_init:
+            self.u_dia = self.u_proc.add(np.zeros(0), 1.0, unit)  # inert coordinate
+            self.thetas[0] = unit
+        else:
+            self.u_dia = self.u_proc.add(np.zeros(0), 1.0 - self.a**2, unit)
+            np.add(self.a * self.theta_star, self.u_dia, out=self.thetas[0])
+        self.C_theta[0, 0] = 1.0
+
     def release_paths(self) -> None:
         """Drop every K-path array: the sample pools, the per-path
         responses and constants, and both processes' values and
         innovations.  Kernels, responses, ``min_eig_before_jitter`` and
         ``zero_pivots`` stay; the state can no longer be stepped."""
-        self.z = self.theta_star = self.u_dia = None
-        self.w_star = self.y = self.Ty = self.Ts_y = self.dd_source = None
-        self.thetas, self.etas, self.ell_vals, self.d1_vals = [], [], [], []
-        self.r_eta_ts = {}
-        self.r_eta_star, self.r_eta_dia, self.r_eta_dd = [], [], []
+        self.thetas = self.etas = self.ell_vals = self.d1_vals = None
+        self.z = self.theta_star = self.u_dia = self.w_star = None
+        self.y = self.Ty = self.Ts_y = self.dd_source = None
+        self.r_eta_ts, self.r_eta_star, self.r_eta_dia, self.r_eta_dd = {}, [], [], []
         for proc in (self.w_proc, self.u_proc):
-            proc.innovations, proc.values = [], []
+            proc.innovations = proc.values = None
         self.released = True
 
     def _check_not_released(self) -> None:
@@ -355,14 +361,6 @@ class DmftState:
         ts1 = np.asarray(self.pre.Ts1(y), dtype=float)
         return self.lam_star * ts1 / (self.lam_star - ts) ** 2
 
-    def _grow_C_theta(self, new_dim: int) -> None:
-        old = self.C_theta
-        if old.shape[0] >= new_dim:
-            return
-        C = np.full((new_dim, new_dim), np.nan)
-        C[: old.shape[0], : old.shape[1]] = old
-        self.C_theta = C
-
     # -- eta step ----------------------------------------------------------
 
     def step_eta(self) -> None:
@@ -375,17 +373,16 @@ class DmftState:
         ell, d1ell, d2ell = self.loss.ell, self.loss.d1ell, self.loss.d2ell
 
         if t == 0:
-            w_star = self.w_proc.add(np.zeros(0), self.C_star_star,
-                                     self.rng.standard_normal(K))
-            self.w_star = w_star
-            self.y = np.asarray(self.link.eval(w_star, self.z), dtype=float)
+            self.w_star = self.w_proc.add(np.zeros(0), self.C_star_star,
+                                          self.rng.standard_normal(K))
+            self.etas[-2] = self.w_star
+            self.y = np.asarray(self.link.eval(self.w_star, self.z), dtype=float)
             self.Ty = self.T_map(self.y)
             self.Ts_y = np.asarray(self.pre.Ts(self.y), dtype=float)
         # covariance of w^t against (w*, w^0..w^{t-1}), then variance C_theta(t,t)
         cov = np.empty(t + 1)
         cov[0] = self.c_theta_star[t]
-        for s in range(t):
-            cov[s + 1] = self.C_theta[t, s]
+        cov[1:] = self.C_theta[t, :t]
         w_t = self.w_proc.add(cov, self.C_theta[t, t], self.rng.standard_normal(K))
 
         if t == 0:
@@ -395,18 +392,17 @@ class DmftState:
                 * w_t
             )
 
-        R_row = self.r_theta[t]
-        eta_t = w_t + self.Ty * self.w_proc.values[1] * self.r_theta_dia[t]
+        R_row = self.R_theta[t]
+        eta_t = self.etas[t]
+        np.add(w_t, self.Ty * self.w_proc.values[1] * self.r_theta_dia[t], out=eta_t)
         for s in range(t):
             if R_row[s] != 0.0:
-                eta_t = eta_t - self.ell_vals[s] * R_row[s]
-        self.etas.append(eta_t)
+                eta_t -= self.ell_vals[s] * R_row[s]
 
-        ell_t = np.asarray(ell(eta_t, self.w_star, self.z), dtype=float)
-        d1_t = np.asarray(d1ell(eta_t, self.w_star, self.z), dtype=float)
+        self.ell_vals[t] = ell(eta_t, self.w_star, self.z)
+        self.d1_vals[t] = d1ell(eta_t, self.w_star, self.z)
+        ell_t, d1_t = self.ell_vals[t], self.d1_vals[t]
         d2_t = np.asarray(d2ell(eta_t, self.w_star, self.z), dtype=float)
-        self.ell_vals.append(ell_t)
-        self.d1_vals.append(d1_t)
 
         # per-path responses, row s of r_eta_ts[t] is R_eta(t, s) on the K
         # paths; the subtractions run in place, products in one scratch buffer
@@ -423,33 +419,30 @@ class DmftState:
             np.multiply(acc, d1_t, out=acc)
         self.r_eta_ts[t] = acc
 
-        acc_star = np.zeros(K)
-        acc_dia = self.Ty * self.r_theta_dia[t]
-        acc_dd = self.dd_source * self.r_theta_dia[t]
-        for r in range(t):
-            if R_row[r] != 0.0:
-                acc_star -= self.r_eta_star[r] * R_row[r]
-                acc_dia = acc_dia - self.r_eta_dia[r] * R_row[r]
-                acc_dd = acc_dd - self.r_eta_dd[r] * R_row[r]
-        self.r_eta_star.append(d1_t * acc_star + d2_t)
-        self.r_eta_dia.append(d1_t * acc_dia)
-        self.r_eta_dd.append(d1_t * acc_dd)
+        # the three alignment channels: star (source d2ell), diamond (source
+        # T(y)) and double diamond (source dd_source)
+        dia = self.r_theta_dia[t]
+        for pool, acc in ((self.r_eta_star, np.zeros(K)),
+                          (self.r_eta_dia, self.Ty * dia),
+                          (self.r_eta_dd, self.dd_source * dia)):
+            for r in range(t):
+                if R_row[r] != 0.0:
+                    acc -= pool[r] * R_row[r]
+            acc *= d1_t
+            pool.append(acc)
+        self.r_eta_star[t] += d2_t
 
         # kernels
-        newC = np.zeros((t + 1, t + 1))
-        newC[:t, :t] = self.C_eta
         for r in range(t + 1):
-            v = self.delta * fmean(ell_t * self.ell_vals[r])
-            newC[t, r] = v
-            newC[r, t] = v
-        self.C_eta = newC
+            self.C_eta[t, r] = self.C_eta[r, t] = (
+                self.delta * fmean(ell_t * self.ell_vals[r]))
         if self.independent_init:
             self.c_eta_dia.append(0.0)
         else:
             self.c_eta_dia.append(
                 -(self.delta / self.lam_star) * fmean(ell_t * self.Ts_y * self.etas[0]))
-        self.R_eta[t] = np.array(
-            [self.delta * fmean(self.r_eta_ts[t][s]) for s in range(t)])
+        for s in range(t):
+            self.R_eta[t, s] = self.delta * fmean(self.r_eta_ts[t][s])
         self.R_eta_star.append(self.delta * fmean(self.r_eta_star[t]))
         self.R_eta_dia.append(self.delta * fmean(self.r_eta_dia[t]))
         self.R_eta_dd.append(self.delta * fmean(self.r_eta_dd[t]))
@@ -474,29 +467,27 @@ class DmftState:
         # extend (u_dia, u^0..u^{t-1}) by u^t
         cov = np.empty(t + 1)
         cov[0] = self.c_eta_dia[t]
-        for s in range(t):
-            cov[s + 1] = self.C_eta[t, s]
+        cov[1:] = self.C_eta[t, :t]
         u_t = self.u_proc.add(cov, self.C_eta[t, t], self.rng.standard_normal(K))
 
         R_row = self.R_eta[t]
         drift = -(lam + self.Gamma[t]) * self.thetas[t] + u_t
         for s in range(t):
             if R_row[s] != 0.0:
-                drift = drift - R_row[s] * self.thetas[s]
-        drift = drift - self.R_eta_dia[t] * self.thetas[0]
-        drift = drift - (self.R_eta_star[t] + self.R_eta_dd[t]) * self.theta_star
-        theta_next = self.thetas[t] + gamma * drift
-        self.thetas.append(theta_next)
+                drift -= R_row[s] * self.thetas[s]
+        drift -= self.R_eta_dia[t] * self.thetas[0]
+        drift -= (self.R_eta_star[t] + self.R_eta_dd[t]) * self.theta_star
+        theta_next = self.thetas[t + 1]
+        np.add(self.thetas[t], gamma * drift, out=theta_next)
 
         # deterministic responses
+        R = self.R_theta
         fac = 1.0 - gamma * lam - gamma * self.Gamma[t]
-        new_r = np.empty(t + 1)
-        new_r[:t] = fac * self.r_theta[t]
+        R[t + 1, :t] = fac * R[t, :t]
         for r in range(1, t):
             if R_row[r] != 0.0:
-                new_r[:r] -= gamma * R_row[r] * self.r_theta[r]
-        new_r[t] = gamma
-        self.r_theta[t + 1] = new_r
+                R[t + 1, :r] -= gamma * R_row[r] * R[r, :r]
+        R[t + 1, t] = gamma
         dia = fac * self.r_theta_dia[t] - gamma * self.R_eta_dia[t]
         for r in range(t):
             if R_row[r] != 0.0:
@@ -504,51 +495,19 @@ class DmftState:
         self.r_theta_dia.append(dia)
 
         # correlation kernels
-        self._grow_C_theta(t + 2)
         for r in range(t + 2):
-            v = fmean(theta_next * self.thetas[r])
-            self.C_theta[t + 1, r] = v
-            self.C_theta[r, t + 1] = v
+            self.C_theta[t + 1, r] = self.C_theta[r, t + 1] = (
+                fmean(theta_next * self.thetas[r]))
         self.c_theta_star.append(fmean(theta_next * self.theta_star))
         self.t_theta = t + 1
 
-    # -- views -------------------------------------------------------------
-
-    @property
-    def horizon(self) -> int:
-        return self.t_eta
-
-    def R_theta(self, t: int, s: int) -> float:
-        return float(self.r_theta[t][s])
-
-    def R_theta_matrix(self) -> Array:
-        """Lower-triangular R_theta(t, s) for 0 <= s < t <= t_theta."""
-        n = self.t_theta + 1
-        M = np.zeros((n, n))
-        for t in range(n):
-            M[t, :t] = self.r_theta[t]
-        return M
-
-    def R_eta_matrix(self) -> Array:
-        n = self.t_eta + 1
-        M = np.zeros((n, n))
-        for t in range(n):
-            M[t, :t] = self.R_eta[t]
-        return M
-
     def law(self) -> DmftLaw:
         self._check_not_released()
-        m = self.t_eta
-        theta_samples = np.column_stack(self.thetas[: m + 1] + [self.theta_star])
-        eta_samples = np.column_stack(self.etas[: m + 1] + [self.w_star, self.z])
-        u_cols = self.u_proc.values[1 : m + 1]
-        u_samples = (np.column_stack(u_cols) if u_cols
-                     else np.zeros((self.K, 0)))
         return DmftLaw(
-            theta_samples=theta_samples,
-            eta_samples=eta_samples,
-            u_diamond=self.u_proc.values[0].copy(),
-            u_samples=u_samples,
+            theta_samples=self.thetas.T,
+            eta_samples=self.etas.T,
+            u_diamond=self.u_dia,
+            u_samples=self.u_proc.values[1:].T,
             overlap_a=self.a,
         )
 
@@ -597,9 +556,11 @@ def init_dmft(
 
 
 def run_dmft(state: DmftState, m: int) -> DmftLaw:
-    """Alternate eta and theta updates in the canonical order up to horizon m."""
+    """Size the state for horizon m, then alternate eta and theta updates in
+    the canonical order up to m."""
     if m < 0:
         raise ValueError("horizon m must be >= 0")
+    state.allocate(m)
     while state.t_eta < m:
         t = state.t_eta + 1
         if state.t_theta < t:
@@ -631,26 +592,26 @@ def tti_diagnostics(state: DmftState, max_lag: int = 5,
     m = state.t_eta
     if m < 10:
         raise ValueError("need horizon >= 10 for TTI diagnostics")
-    lags = {}
-    for s in range(1, max_lag + 1):
-        lags[s] = np.array([state.R_theta(t + s, t) for t in range(0, m - s + 1)])
+    R = state.R_theta
+    # lags[s][t] = R_theta(t + s, t) for t = 0..m-s
+    lags = {s: np.diagonal(R, -s).copy() for s in range(1, max_lag + 1)}
     if window is None:
         window = (int(0.75 * m), m - 1)
     lo, hi = window
     tti_dev = {}
     for s in range(1, max_lag + 1):
-        vals = [state.R_theta(t + s, t) for t in range(lo, hi + 1) if t + s <= m]
+        vals = lags[s][lo: hi + 1]
         tti_dev[s] = float(np.max(vals) - np.min(vals)) if len(vals) > 1 else 0.0
 
     fit_base = max(0, m - 10)
     ss = np.arange(1, m - fit_base + 1)
-    vals = np.abs([state.R_theta(fit_base + s, fit_base) for s in ss])
+    vals = np.abs(R[fit_base + ss, fit_base])
     good = vals > 0
     slope, r2 = np.nan, np.nan
     if np.sum(good) >= 3:
         x = ss[good].astype(float)
         ylog = np.log(vals[good])
-        A = np.column_stack([x, np.ones_like(x)])
+        A = np.vander(x, 2)   # columns x and 1
         coef, *_ = np.linalg.lstsq(A, ylog, rcond=None)
         pred = A @ coef
         ssr = float(np.sum((ylog - pred) ** 2))

@@ -56,8 +56,6 @@ class FixedPointState:
     Gamma_inf: float
     C_eta_inf: float
     C_theta_inf: Array          # 2x2, [ [E theta_inf^2, E theta_inf theta*], [., 1] ]
-    delta: float = None
-    lambda_ridge: float = None
     eta_inf: Array = field(default=None, repr=False)
     w_inf: Array = field(default=None, repr=False)
     w_star: Array = field(default=None, repr=False)
@@ -376,8 +374,6 @@ def iterate_fixed_point(
         Gamma_inf=float(Gamma),
         C_eta_inf=float(C_eta),
         C_theta_inf=C,
-        delta=float(delta),
-        lambda_ridge=float(lambda_ridge),
         eta_inf=eta,
         w_inf=w_inf,
         w_star=w_star,
@@ -399,7 +395,7 @@ def warm_start_from_dmft(dmft_state) -> FixedPointState:
         [dmft_state.C_theta[t, t], dmft_state.c_theta_star[t]],
         [dmft_state.c_theta_star[t], 1.0],
     ])
-    R_theta = float(np.sum(dmft_state.r_theta[t]))
+    R_theta = float(np.sum(dmft_state.R_theta[t, :t]))
     return FixedPointState(
         R_theta_inf=R_theta, R_eta_inf=0.0, R_eta_star=0.0, Gamma_inf=0.0,
         C_eta_inf=0.0, C_theta_inf=C,
@@ -407,11 +403,8 @@ def warm_start_from_dmft(dmft_state) -> FixedPointState:
 
 
 def fixed_point_residuals(state: FixedPointState, loss: LossModel,
-                          delta: float = None,
-                          lambda_ridge: float = None) -> dict:
+                          delta: float, lambda_ridge: float) -> dict:
     """Numeric residuals of the seven fixed-point equations under the pools."""
-    delta = state.delta if delta is None else delta
-    lambda_ridge = state.lambda_ridge if lambda_ridge is None else lambda_ridge
     eta, w_star, z = state.eta_inf, state.w_star, state.z
     ell = np.asarray(loss.ell(eta, w_star, z), dtype=float)
     d1 = np.asarray(loss.d1ell(eta, w_star, z), dtype=float)

@@ -326,7 +326,7 @@ def test_criterion_6_long_time_dmft():
     ratios = [arr.max() / max(arr[-1], 1e-300)
               for arr in (rep.dia_theta, rep.dia_eta, rep.dd_eta)]
     tti_worst = max(rep.tti_dev.values())
-    r_sum = float(np.sum(st.r_theta[m]))
+    r_sum = float(np.sum(st.R_theta[m, :m]))
 
     cfg = SolverConfig(K=100000, damping=0.5, tol=1e-10, max_outer=200, seed=2)
     fp = iterate_fixed_point(loss, noise, delta, lam, cfg)

@@ -87,7 +87,7 @@ def test_onsager_from_dmft_values(setup):
     assert table.xi[0, 0, 0, 0] == st.e_d1_T_t0
     for t in range(1, m):
         assert table.xi[t, t, 0, 0] == st.e_d1[t]
-        assert table.xi[t, 0, 0, 0] == (st.R_eta[t][0] + st.R_eta_dia[t]) / delta
+        assert table.xi[t, 0, 0, 0] == (st.R_eta[t, 0] + st.R_eta_dia[t]) / delta
     assert table.xi[0, 0, 1, 0] == (st.R_eta_star[0] + st.R_eta_dd[0]) / delta
 
 

@@ -272,6 +272,10 @@ def write_cfg_with(tmp_path, section, key, value, **kw):
     ("fixedpoint", "tol", "0"),
     ("fixedpoint", "tol", "nan"),
     ("fixedpoint", "max_outer", "0"),
+    ("compare", "w2_tol", "nan"),
+    ("compare", "w2_tol", "-1"),
+    ("compare", "cov_tol", "nan"),
+    ("compare", "cov_tol", "-1"),
 ])
 def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
     path = write_cfg_with(tmp_path, section, key, value,

@@ -2,6 +2,7 @@
 consistency, kernel estimation, the exact kernel reducer, and the
 independent-init degeneration."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dmftsim import dmft
 from dmftsim.amp import onsager_from_dmft
+from dmftsim.cli import _write_samples
 from dmftsim.dmft import (
+    DmftState,
     IncrementalGaussian,
     MonteCarloSpec,
     fmean,
@@ -87,7 +91,7 @@ def test_r_theta_one_step_equals_gamma():
     st = pr_state(gamma=0.037)
     run_dmft(st, 4)
     for t in range(4):
-        assert st.R_theta(t + 1, t) == 0.037
+        assert st.R_theta[t + 1, t] == 0.037
 
 
 def test_gamma_zero_freezes_theta_side():
@@ -121,7 +125,7 @@ def test_response_pools_equal_path_major_recursion_bitwise():
     run_dmft(st, 6)
     pools = {0: np.zeros((st.K, 0))}
     for t in range(1, st.t_eta + 1):
-        R_row = st.r_theta[t]
+        R_row = st.R_theta[t, :t]
         acc = np.zeros((st.K, t))
         for r in range(1, t):
             if R_row[r] != 0.0:
@@ -199,8 +203,9 @@ def test_fmean_is_fsum_bitwise_on_dmft_path_products():
     arrays += [st.r_eta_ts[t][s] for s in range(t)]
     arrays += [st.r_eta_ts[t][0][::-1]]   # a strided view of a pool row
     arrays += [st.r_eta_star[t], st.r_eta_dia[t], st.r_eta_dd[t]]
-    arrays += [st.thetas[-1] * st.thetas[r] for r in range(len(st.thetas))]
-    arrays += [st.thetas[-1] * st.theta_star, st.etas[0] * st.Ts_y]
+    th = st.thetas[st.t_theta]
+    arrays += [th * st.thetas[r] for r in range(st.t_theta + 1)]
+    arrays += [th * st.theta_star, st.etas[0] * st.Ts_y]
     for x in arrays:
         assert fmean_outcome(x) == fsum_mean_outcome(x)
     assert any(not x.flags.c_contiguous for x in arrays)
@@ -233,7 +238,7 @@ def test_bitwise_determinism():
     assert np.array_equal(la.eta_samples, lb.eta_samples)
     assert np.array_equal(a.C_theta, b.C_theta)
     assert np.array_equal(a.C_eta, b.C_eta)
-    assert np.array_equal(a.R_theta_matrix(), b.R_theta_matrix())
+    assert np.array_equal(a.R_theta, b.R_theta)
     assert np.array_equal(np.array(a.R_eta_star), np.array(b.R_eta_star))
 
 
@@ -268,13 +273,12 @@ def _kernel_bytes(st):
     """Every kernel, response and PSD diagnostic of a state, as bytes."""
     arr = lambda v: np.asarray(v, dtype=float).tobytes()
     out = {name: arr(getattr(st, name)) for name in (
-        "C_theta", "c_theta_star", "r_theta_dia", "C_eta", "c_eta_dia",
-        "R_eta_star", "R_eta_dia", "R_eta_dd", "Gamma", "e_d1", "e_d1_T_t0")}
-    out["r_theta"] = [arr(st.r_theta[t]) for t in sorted(st.r_theta)]
-    out["R_eta"] = [arr(st.R_eta[t]) for t in sorted(st.R_eta)]
+        "C_theta", "R_theta", "c_theta_star", "r_theta_dia", "C_eta", "R_eta",
+        "c_eta_dia", "R_eta_star", "R_eta_dia", "R_eta_dd", "Gamma", "e_d1",
+        "e_d1_T_t0")}
     for proc in (st.w_proc, st.u_proc):
         out[proc.label] = (arr(proc.min_eig_before_jitter), list(proc.zero_pivots),
-                           [arr(r) for r in proc.rows], [arr(c) for c in proc.cov])
+                           arr(proc.L), arr(proc.S))
     return out
 
 
@@ -346,16 +350,16 @@ def test_rank_deficient_covariance_gets_zero_pivots():
     for proc in (long.w_proc, long.u_proc):
         assert min(proc.min_eig_before_jitter) >= -1e-8
         for j in proc.zero_pivots:
-            assert proc.rows[j][-1] == 0.0
+            assert proc.L[j, j] == 0.0
             # the dependent coordinate's realized variance stays within the
             # Monte Carlo error of a sample variance of its target
-            target = proc.cov[j][-1]
-            realized = float(proc.rows[j] @ proc.rows[j])
+            target = proc.S[j, j]
+            realized = float(proc.L[j, : j + 1] @ proc.L[j, : j + 1])
             assert abs(realized - target) <= target * np.sqrt(2.0 / proc.K)
     # horizon-prefix immutability holds through the zero pivots
     for a, b in ((short.w_proc.values, long.w_proc.values),
                  (short.u_proc.values, long.u_proc.values),
-                 (short.etas, long.etas)):
+                 (short.etas[: short.t_eta + 1], long.etas)):
         assert len(a) < len(b)
         for s in range(len(a)):
             assert np.array_equal(a[s], b[s])
@@ -363,7 +367,7 @@ def test_rank_deficient_covariance_gets_zero_pivots():
 
 def test_non_psd_block_is_refused():
     rng = np.random.default_rng(0)
-    g = IncrementalGaussian(100, "test-process")
+    g = IncrementalGaussian(2, 100, "test-process")
     g.add(np.zeros(0), 1.0, rng.standard_normal(100))
     with pytest.raises(np.linalg.LinAlgError, match="test-process.*coordinate 1"):
         g.add(np.array([1.0]), 1.0 - 1e-4, rng.standard_normal(100))
@@ -375,19 +379,33 @@ def test_amplified_zero_pivot_is_refused():
     rng = np.random.default_rng(0)
     K = 1000
     for c1, accepted in ((1e-11, True), (1e-9, False)):
-        g = IncrementalGaussian(K, "test-process")
+        g = IncrementalGaussian(3, K, "test-process")
         g.add(np.zeros(0), 1.0, rng.standard_normal(K))
         g.add(np.array([0.0]), 1e-18, rng.standard_normal(K))
         if accepted:
             with pytest.warns(RuntimeWarning, match="zero Cholesky pivot"):
                 g.add(np.array([1.0, c1]), 1.0, rng.standard_normal(K))
             assert g.zero_pivots == [2]
-            assert g.rows[2] @ g.rows[2] == pytest.approx(1.0 + 1e-4)
+            assert g.L[2] @ g.L[2] == pytest.approx(1.0 + 1e-4)
         else:
             with pytest.raises(np.linalg.LinAlgError,
                                match="test-process: coordinate 2.*sqrt"):
                 g.add(np.array([1.0, c1]), 1.0, rng.standard_normal(K))
         assert g.min_eig_before_jitter[-1] >= -1e-8
+
+
+def test_law_is_a_view_of_the_pools_and_saves_c_ordered_bytes(tmp_path):
+    st = pr_state(K=1500, seed=8)
+    law = run_dmft(st, 3)
+    for name, pool in (("theta_samples", st.thetas), ("eta_samples", st.etas),
+                       ("u_diamond", st.u_proc.values),
+                       ("u_samples", st.u_proc.values)):
+        assert np.shares_memory(getattr(law, name), pool), name
+    for name in ("theta_samples", "eta_samples"):
+        arr = getattr(law, name)
+        written = _write_samples(tmp_path / name, arr, "npy")
+        np.save(tmp_path / "c_ordered.npy", np.array(arr, order="C"))
+        assert written.read_bytes() == (tmp_path / "c_ordered.npy").read_bytes()
 
 
 def test_dmft_law_shapes():
@@ -620,7 +638,7 @@ def test_independent_init_kernels_match_diamond_free_reference_bitwise():
     assert np.array_equal(st.C_eta, C_eta)
     assert np.array_equal(np.array(st.R_eta_star), R_star)
     for t in range(m + 1):
-        assert np.array_equal(st.R_eta[t], R_eta[t])
+        assert np.array_equal(st.R_eta[t, :t], R_eta[t])
 
 
 def test_tti_diagnostics_on_contracting_run():
@@ -639,3 +657,42 @@ def test_tti_diagnostics_on_contracting_run():
     peak = np.argmax(rep.dia_theta)
     assert np.all(np.diff(rep.dia_theta[peak:]) <= 1e-12)
     assert rep.lags[1].shape == (14,)
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark tracer reads and patches
+# ---------------------------------------------------------------------------
+
+def test_names_read_and_patched_by_the_benchmark_tracer(monkeypatch):
+    # bench/tracer.py wraps fmean, IncrementalGaussian.add, the step methods
+    # and the loss callables of a constructed state, and sizes the response
+    # pool from r_eta_ts and the three alignment channels after run_dmft
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(dmft, "fmean", counting("fmean", dmft.fmean))
+    monkeypatch.setattr(IncrementalGaussian, "add",
+                        counting("add", IncrementalGaussian.add))
+    assert callable(DmftState.step_eta) and callable(DmftState.step_theta)
+    K, m = 1500, 4
+    st = pr_state(K=K, seed=8)
+    st.loss = dataclasses.replace(st.loss, **{
+        f: counting(f, getattr(st.loss, f)) for f in ("ell", "d1ell", "d2ell")})
+    run_dmft(st, m)
+
+    assert (st.K, st.t_eta) == (K, m)
+    assert isinstance(st.r_eta_ts, dict) and sorted(st.r_eta_ts) == list(range(m + 1))
+    for t, pool in st.r_eta_ts.items():
+        assert isinstance(pool, np.ndarray) and pool.shape == (t, K)
+    for name in ("r_eta_star", "r_eta_dia", "r_eta_dd"):
+        channel = getattr(st, name)
+        assert isinstance(channel, list) and len(channel) == m + 1
+        assert all(isinstance(a, np.ndarray) and a.shape == (K,) for a in channel)
+    # one loss evaluation per step, one sample per Gaussian coordinate
+    assert calls["ell"] == calls["d1ell"] == calls["d2ell"] == m + 1
+    assert calls["add"] == (m + 1) + (m + 2)
+    assert calls["fmean"] > 0
