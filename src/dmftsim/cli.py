@@ -295,11 +295,25 @@ class Runner:
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Execute the configured stages in dependency order; nonzero exit when
-    any stage check fails."""
+    any stage check fails.
+
+    The order is spectral, simulate, dmft, amp-check, fixed-point, compare,
+    except that dmft runs first when amp-check is requested.  amp-check is
+    the one stage that reads both the design matrix X and the DMFT law, so
+    in the default order X would still be held while the DMFT builds its
+    path pools; run ahead of the instance draw, the DMFT has freed its pools
+    before X exists.  The DMFT shares only the config with the finite-size
+    stages, so the artifacts are the same bytes in either order, but a
+    failing DMFT then stops the run before spectral.  Without amp-check the
+    DMFT keeps its place after simulate, where X is already dropped and its
+    retained law pools do not sit under the M_n build."""
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = Runner(cfg, out_dir)
     order = ["spectral", "simulate", "dmft", "amp-check", "fixed-point",
              "compare"]
+    if "amp-check" in cfg.pipeline_stages:
+        order.remove("dmft")
+        order.insert(0, "dmft")
     requested = [s for s in order if s in cfg.pipeline_stages]
     status = {}
     for i, name in enumerate(requested):

@@ -248,7 +248,6 @@ class DmftState:
         self.gamma = float(gamma)
         self.lambda_ridge = float(lambda_ridge)
         self.K = mc.K
-        self.seed = mc.seed
         self.independent_init = independent_init
         self.rng = np.random.default_rng(mc.seed)
         if abs(signal.second_moment - 1.0) > 1e-12:

@@ -77,18 +77,24 @@ class NoRootError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
-                    loss: LossModel, warn_multiroot: bool = True) -> Array:
-    """Roots of F(eta) = eta + R ell(eta, w*, z) - w_inf, one per sample.
+                    loss: LossModel, warn_multiroot: bool = True
+                    ) -> tuple[Array, Array]:
+    """Stable roots of F(eta) = eta + R ell(eta, w*, z) - w_inf, one per
+    sample, and d1ell at them.
 
     Newton from eta = w_inf with bisection fallback on the bracket
-    [w_inf - R B, w_inf + R B]; when the sign pattern on the bracket shows
-    several crossings, the root closest to w_inf is taken (with a warning).
+    [w_inf - R B, w_inf + R B].  A root is stable when F' = 1 + R d1ell > 0
+    there; a Newton root that is not goes to the fallback too, which takes
+    the upward crossing of F nearest to w_inf.  When the sign pattern on the
+    bracket shows several crossings a warning is issued.  The d1ell the
+    stability test needs is returned, so callers evaluate it once.
     """
     w_inf = np.asarray(w_inf, dtype=float)
     w_star = np.asarray(w_star, dtype=float)
     z = np.asarray(z, dtype=float)
     if R == 0.0:
-        return w_inf.copy()
+        eta = w_inf.copy()
+        return eta, np.asarray(loss.d1ell(eta, w_star, z), dtype=float)
 
     def F(eta, wi=w_inf, ws=w_star, zz=z):
         return eta + R * np.asarray(loss.ell(eta, ws, zz), dtype=float) - wi
@@ -117,6 +123,12 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
     if np.any(off):
         idx = np.where(off)[0]
         eta[idx] = _bisect_eta(loss, R, w_inf[idx], w_star[idx], z[idx], half)
+    d1 = np.asarray(loss.d1ell(eta, w_star, z), dtype=float)
+    unstable = np.where(1.0 + R * d1 <= 0.0)[0]
+    if unstable.size:
+        ws, zz = w_star[unstable], z[unstable]
+        eta[unstable] = _bisect_eta(loss, R, w_inf[unstable], ws, zz, half)
+        d1[unstable] = np.asarray(loss.d1ell(eta[unstable], ws, zz), dtype=float)
 
     if warn_multiroot and half is not None and half > 0:
         grid = np.linspace(-1.0, 1.0, 33)
@@ -126,15 +138,16 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
         if n_multi:
             warnings.warn(
                 f"eta fixed-point equation shows multiple crossings on "
-                f"{n_multi} of {w_inf.size} samples; nearest root to w_inf kept",
-                RuntimeWarning)
-    return eta
+                f"{n_multi} of {w_inf.size} samples; nearest stable root to "
+                "w_inf kept", RuntimeWarning)
+    return eta, d1
 
 
 def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
                 z: Array, half) -> Array:
     """Bracketed fallback: scan a grid over [w_inf - half, w_inf + half],
-    pick the sign-change cell closest to w_inf, bisect inside it."""
+    pick the cell closest to w_inf where F crosses upward (a stable root,
+    F' > 0), bisect inside it."""
     def F(eta):
         return eta + R * np.asarray(loss.ell(eta, w_star, z), dtype=float) - w_inf
 
@@ -146,9 +159,10 @@ def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
             half *= 2.0
     offsets = np.linspace(-1.0, 1.0, 65) * half
     vals = np.stack([F(w_inf + off) for off in offsets], axis=1)  # (k, 65)
-    sign_change = np.diff(np.signbit(vals), axis=1) != 0           # (k, 64)
+    neg = np.signbit(vals)
+    upward = neg[:, :-1] & ~neg[:, 1:]                             # (k, 64)
     cell_mid = 0.5 * (offsets[:-1] + offsets[1:])
-    dist = np.where(sign_change, np.abs(cell_mid)[None, :], np.inf)
+    dist = np.where(upward, np.abs(cell_mid)[None, :], np.inf)
     cell = np.argmin(dist, axis=1)
     has = np.isfinite(np.min(dist, axis=1))
     lo = w_inf + np.where(has, offsets[cell], -half)
@@ -167,14 +181,14 @@ def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
 def solve_eta_implicit(R_theta_inf: float, w_inf: float, w_star: float,
                        z: float, loss: LossModel) -> float:
     """Scalar version of the eta fixed-point solve (pool version vectorized)."""
-    out = _solve_eta_pool(
+    eta, _ = _solve_eta_pool(
         R_theta_inf,
         np.array([w_inf], dtype=float),
         np.array([w_star], dtype=float),
         np.array([z], dtype=float),
         loss,
     )
-    return float(out[0])
+    return float(eta[0])
 
 
 def pole_radius(d1_pool: Array) -> float:
@@ -187,9 +201,12 @@ def pole_radius(d1_pool: Array) -> float:
 def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     """Root of g(R) = lambda R + delta mean[d1 R / (1 + d1 R)] - 1 on (0, R_hi].
 
-    This is the scalar reduction of the response equations; g(0) = -1 and the
-    bracket is doubled until a sign change appears.  The bracket stays below
-    the smallest pole of the integrand, where the fixed point is defined.
+    This is the scalar reduction of the response equations; g(0) = -1, and
+    the bracket's upper end starts at min(1, cap/2), cap just below the
+    smallest pole of the integrand, where the fixed point is defined.  It is
+    doubled while that stays below cap and otherwise moved toward cap by
+    half the remaining gap, until g changes sign.  Near the pole g tends to
+    -inf, so starting inside it finds a root that lies below the pole.
 
     Bisection runs for at most 200 steps and stops when the bracket's width
     falls to 1e-16 relative, or as soon as a step leaves (lo, hi) unchanged:
@@ -212,7 +229,7 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
 
     r_pole = pole_radius(d1)
     cap = min(1e6, r_pole * (1.0 - 1e-12))
-    hi = min(1.0, cap)
+    hi = min(1.0, 0.5 * cap)
     while g(hi) <= 0.0:
         if hi >= cap * (1.0 - 1e-12):
             frac = float(np.mean(1.0 + d1 * min(2.0 * hi, 1e6) <= 0))
@@ -220,7 +237,7 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
                 "no sign change of the R_theta equation on the pole-free "
                 f"interval (0, {cap:.4g}]; 1 + d1ell * R <= 0 on a "
                 f"{frac:.2%} sample fraction beyond it")
-        hi = min(2.0 * hi, cap)
+        hi = 2.0 * hi if 2.0 * hi < cap else hi + 0.5 * (cap - hi)
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -298,9 +315,8 @@ def iterate_fixed_point(
         c11, c12 = C[0, 0], C[0, 1]
         resid_var = max(c11 - c12 * c12, 0.0)
         w_inf = c12 * g_wstar + np.sqrt(resid_var) * g_worth
-        eta = _solve_eta_pool(R_theta, w_inf, w_star, z, loss,
-                              warn_multiroot=(it == 1))
-        d1 = np.asarray(loss.d1ell(eta, w_star, z), dtype=float)
+        eta, d1 = _solve_eta_pool(R_theta, w_inf, w_star, z, loss,
+                                  warn_multiroot=(it == 1))
         d2 = np.asarray(loss.d2ell(eta, w_star, z), dtype=float)
         ell = np.asarray(loss.ell(eta, w_star, z), dtype=float)
         Gamma = float(np.mean(d1))

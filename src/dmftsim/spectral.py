@@ -20,6 +20,7 @@ Array = np.ndarray
 ADMISSIBILITY_FLOOR = 1e3
 POLE_GUARD = 1e-9
 MN_ROW_BLOCK = 2048   # rows of X weighted and accumulated per syrk call
+MN_MIRROR_BLOCK = 256  # columns of M_n mirrored per step
 
 
 class WeakRecoveryError(RuntimeError):
@@ -79,10 +80,13 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
 
     Row blocks of sqrt(Ts(y)) X (MN_ROW_BLOCK rows, one reused buffer) are
     accumulated by BLAS syrk into the lower triangle of one Fortran-ordered
-    matrix, which is then mirrored into the upper triangle.  No weighted copy
-    of X is made, and the flops are half those of a full product.  The square
-    root needs Ts >= 0, the contract of PreProcess, so negative weights are
-    refused."""
+    matrix.  The buffer is freed, and the lower triangle is mirrored into
+    the upper one in place, MN_MIRROR_BLOCK columns at a time, so no d x d
+    temporary is made.  The upper triangle is exactly zero before the
+    mirror, so each of its entries becomes 0 + x, as a full-matrix mirror
+    gives.  No weighted copy of X is made, and the flops are half those of a
+    full product.  The square root needs Ts >= 0, the contract of
+    PreProcess, so negative weights are refused."""
     X = inst.X
     n, d = X.shape
     w = np.asarray(pre.Ts(inst.y), dtype=float)
@@ -98,7 +102,11 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
         B = np.multiply(sw[start:stop, None], X[start:stop], out=buf[:stop - start])
         # B.T is Fortran-contiguous (d x rows), so trans=0 passes it uncopied
         C = dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
-    C += np.tril(C, -1).T
+    buf = B = None   # free the row block before the mirror
+    for j0 in range(0, d, MN_MIRROR_BLOCK):
+        j1 = min(j0 + MN_MIRROR_BLOCK, d)
+        C[j0:j1, j1:] += C[j1:, j0:j1].T
+        C[j0:j1, j0:j1] += np.tril(C[j0:j1, j0:j1], -1).T
     return C
 
 

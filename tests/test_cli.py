@@ -298,14 +298,16 @@ def test_raising_stage_is_recorded_in_pipeline_status(tmp_path, monkeypatch):
                       "dmft": {"ok": False, "error": "RuntimeError: boom"}}
 
 
+# present: per stage in run order, whether X is held as the stage starts,
+# None while the instance is not drawn yet
 @pytest.mark.parametrize("stages,present", [
     ("spectral,simulate,dmft,fixed-point,compare",
-     {"spectral": True, "simulate": True, "dmft": False, "fixed-point": False,
+     {"spectral": None, "simulate": True, "dmft": False, "fixed-point": False,
       "compare": False}),
     ("spectral,simulate,dmft,amp-check,fixed-point,compare",
-     {"spectral": True, "simulate": True, "dmft": True, "amp-check": True,
+     {"dmft": None, "spectral": None, "simulate": True, "amp-check": True,
       "fixed-point": False, "compare": False}),
-    ("dmft,compare", {"dmft": True, "compare": True}),
+    ("dmft,compare", {"dmft": None, "compare": None}),
 ])
 def test_pipeline_drops_design_matrix_after_its_last_reader(
         tmp_path, monkeypatch, stages, present):
@@ -313,7 +315,10 @@ def test_pipeline_drops_design_matrix_after_its_last_reader(
 
     def recording(name, fn):
         def stage(runner):
-            seen[name] = runner.inst.X is not None
+            # reading runner.inst would draw the instance, so look it up
+            # in the cache only
+            inst = vars(runner).get("inst")
+            seen[name] = None if inst is None else inst.X is not None
             return fn(runner)
         return stage
     for name, fn in list(Runner.STAGES.items()):
@@ -328,7 +333,52 @@ def test_pipeline_drops_design_matrix_after_its_last_reader(
         warnings.simplefilter("ignore", RuntimeWarning)
         main(["pipeline", "--config", str(write_cfg(tmp_path, stages=stages))])
     assert seen == present
+    assert list(seen) == list(present)
     assert gd_saw_X == [True]
+
+
+@pytest.mark.parametrize("stages,order", [
+    ("spectral,simulate,dmft,amp-check,fixed-point,compare",
+     ["run_dmft", "make_instance"]),
+    ("spectral,simulate,dmft,fixed-point,compare",
+     ["make_instance", "run_dmft"]),
+    ("simulate,dmft,compare", ["make_instance", "run_dmft"]),
+])
+def test_dmft_runs_before_the_instance_draw_only_with_amp_check(
+        tmp_path, monkeypatch, stages, order):
+    """amp-check reads both X and the DMFT law; run_dmft then returns, and
+    its path pools are freed, before X is drawn.  Otherwise the stages keep
+    the order spectral, simulate, dmft, amp-check, fixed-point, compare."""
+    events = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            events.append(name)
+            return out
+        return call
+    monkeypatch.setattr(cli, "make_instance",
+                        recorded("make_instance", cli.make_instance))
+    monkeypatch.setattr(cli.dmft_mod, "run_dmft",
+                        recorded("run_dmft", cli.dmft_mod.run_dmft))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cli.run_pipeline(load_config(write_cfg(tmp_path, stages=stages)), out)
+    assert events == order
+
+
+def test_dmft_failure_with_amp_check_stops_before_spectral(tmp_path, monkeypatch):
+    def boom(runner):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(Runner.STAGES, "dmft", boom)
+    path = write_cfg(tmp_path, stages="spectral,dmft,amp-check")
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["pipeline", "--config", str(path)])
+    out = tmp_path / "out"
+    status = json.loads((out / "pipeline_status.json").read_text())
+    assert status == {"dmft": {"ok": False, "error": "RuntimeError: boom"}}
+    assert not (out / "spectral.json").exists()
 
 
 def test_pipeline_artifacts_equal_unreleased_stage_by_stage_runs(tmp_path, monkeypatch):

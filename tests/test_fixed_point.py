@@ -1,22 +1,35 @@
 """Tests for the long-time fixed-point solver."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from dmftsim import fixed_point
-from dmftsim.dmft import fmean
+from dmftsim.dmft import MonteCarloSpec, fmean, init_dmft, run_dmft
 from dmftsim.fixed_point import (
     R_RESIDUAL_TOL,
     FixedPointState,
     NoRootError,
     SolverConfig,
+    _solve_eta_pool,
     fixed_point_residuals,
     iterate_fixed_point,
     pole_radius,
     solve_R_theta,
     solve_eta_implicit,
+    warm_start_from_dmft,
 )
-from dmftsim.model import LossModel, make_loss, point_mass_dist
+from dmftsim.model import (
+    LossModel,
+    abs_link,
+    gaussian_dist,
+    make_loss,
+    phase_preprocess,
+    point_mass_dist,
+)
+from dmftsim.spectral import QuadratureSpec, solve_lambda_star
 
 RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
 
@@ -66,6 +79,21 @@ def test_solve_R_theta_no_root_error():
         solve_R_theta(-np.ones(10), delta=2.0, lambda_ridge=0.0)
     assert pole_radius(-2.0 * np.ones(3)) == 0.5
     assert pole_radius(np.ones(3)) == np.inf
+
+
+def test_solve_R_theta_finds_interior_root_below_a_pole_under_one():
+    # one sample with d1 = -2 puts the pole at R = 0.5; g tends to -inf
+    # there, but crosses zero near R = 0.11 on the way up
+    d1 = np.concatenate([np.ones(999), [-2.0]])
+    delta = 10.0
+
+    def g(R):
+        return delta * np.mean(d1 * R / (1.0 + d1 * R)) - 1.0
+    assert pole_radius(d1) == 0.5
+    R = solve_R_theta(d1, delta, 0.0)
+    assert R == pytest.approx(scipy.optimize.brentq(g, 0.0, 0.25, xtol=1e-15),
+                              rel=1e-12)
+    assert abs(g(R)) <= R_RESIDUAL_TOL
 
 
 def solve_R_theta_200_steps(d1, delta, lambda_ridge):
@@ -149,8 +177,10 @@ def test_solve_eta_trivial_cases():
     assert abs(solve_eta_implicit(0.2, 1.3, 1.3, 0.0, RWF) - 1.3) <= 1e-12
 
 
-def test_solve_eta_multiroot_warning_picks_nearest():
-    sin_loss = LossModel(
+def sin_loss():
+    # F(eta) = eta + R sin(eta) - w_inf: for R > 1 roots alternate between
+    # stable (F' = 1 + R cos(eta) > 0) and unstable ones
+    return LossModel(
         name="sin",
         L=lambda a, b, c: -np.cos(np.asarray(a, dtype=float)),
         ell=lambda a, b, c: np.sin(np.asarray(a, dtype=float)),
@@ -160,11 +190,58 @@ def test_solve_eta_multiroot_warning_picks_nearest():
         d2_bound=0.0,
         ell_bound=1.0,
     )
+
+
+def test_solve_eta_multiroot_warning_picks_nearest():
     w_inf = 0.3
     with pytest.warns(RuntimeWarning, match="multiple crossings"):
-        eta = solve_eta_implicit(5.0, w_inf, 0.0, 0.0, sin_loss)
+        eta = solve_eta_implicit(5.0, w_inf, 0.0, 0.0, sin_loss())
     assert abs(eta + 5.0 * np.sin(eta) - w_inf) <= 1e-10
     assert abs(eta) < 0.2  # the nearest root, not the ones beyond pi
+
+
+def test_solve_eta_keeps_nearest_stable_root():
+    # from eta = w_inf = 3, Newton converges to the unstable root near 3.18;
+    # the stable roots lie near 0.52 (the nearer) and 5.71
+    R, w_inf = 5.0, np.array([3.0, 0.3])
+    loss = sin_loss()
+    with pytest.warns(RuntimeWarning, match="multiple crossings"):
+        eta, d1 = _solve_eta_pool(R, w_inf, np.zeros(2), np.zeros(2), loss)
+    assert np.all(np.abs(eta + R * np.sin(eta) - w_inf) <= 1e-10)
+    assert np.all(1.0 + R * np.cos(eta) > 0.0)
+    assert np.array_equal(d1, np.cos(eta))
+    # the stable root nearest to w_inf, from a fine grid
+    grid = np.linspace(-3.0, 9.0, 1_200_001)
+    F = grid + R * np.sin(grid) - w_inf[0]
+    up = np.where((F[:-1] < 0) & (F[1:] >= 0))[0]
+    nearest = grid[up[np.argmin(np.abs(grid[up] - w_inf[0]))]]
+    assert abs(eta[0] - nearest) <= 1e-5
+    assert abs(eta[1]) < 0.2
+
+
+def test_noisy_phase_retrieval_converges_near_the_dmft_tail():
+    """Noisy RWF phase retrieval (sigma = 0.3, delta = 10), warm-started from
+    a DMFT tail at m = 30.  Some d1ell < 0 puts the R_theta pole below 1, and
+    without stable eta roots a few samples put it below the root; the
+    solver then projected on every outer step and wandered to C11 ~ 0.5."""
+    delta, noise = 10.0, gaussian_dist(0.3)
+    link, pre = abs_link(), phase_preprocess(3.0)
+    rwf = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    sol = solve_lambda_star(pre, link, noise, delta, QuadratureSpec(z_samples=5000))
+    dm = init_dmft(rwf, link, noise, pre, sol, delta, 0.01, 0.0,
+                   MonteCarloSpec(K=20000, seed=11))
+    run_dmft(dm, 30)
+    t = dm.t_theta
+    tail = (dm.C_theta[t, t], dm.c_theta_star[t], float(np.sum(dm.R_theta[t, :t])))
+    cfg = SolverConfig(K=20000, damping=0.5, tol=1e-10, max_outer=200, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fp = iterate_fixed_point(rwf, noise, delta, 0.0, cfg,
+                                 init=warm_start_from_dmft(dm))
+    assert fp.converged
+    assert abs(fp.C_theta_inf[0, 0] - tail[0]) <= 0.01
+    assert abs(fp.C_theta_inf[0, 1] - tail[1]) <= 0.01
+    assert abs(fp.R_theta_inf - tail[2]) <= 0.002
 
 
 # ---------------------------------------------------------------------------

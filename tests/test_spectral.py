@@ -106,6 +106,51 @@ def test_build_mn_makes_no_weighted_copy_of_X():
     assert peak <= M.nbytes + 2 * block + 2**20 < inst.X.nbytes
 
 
+def build_Mn_tril_mirror(inst, pre):
+    """build_Mn as it was before its in-place mirror: the lower triangle
+    from the same syrk accumulation, mirrored through a d x d np.tril copy."""
+    X = inst.X
+    n, d = X.shape
+    sw = np.sqrt(np.asarray(pre.Ts(inst.y), dtype=float))
+    C = np.zeros((d, d), order="F")
+    rows = spectral.MN_ROW_BLOCK
+    for start in range(0, n, rows):
+        B = sw[start:start + rows, None] * X[start:start + rows]
+        C = spectral.dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
+    C += np.tril(C, -1).T
+    return C
+
+
+@pytest.mark.parametrize("d", [30, 100, 600])
+def test_build_mn_equals_tril_mirror_bitwise(monkeypatch, d):
+    # d = 600 spans two full mirror blocks of 256 columns and a remainder
+    monkeypatch.setattr(spectral, "MN_ROW_BLOCK", 64)
+    inst = make_instance(2 * d, d, 5, abs_link(), point_mass_dist(0.0),
+                         gaussian_dist())
+    M = build_Mn(inst, PRE3)
+    assert M.tobytes() == build_Mn_tril_mirror(inst, PRE3).tobytes()
+    assert np.array_equal(M, M.T)
+
+
+def test_build_mn_peak_memory_is_M_and_one_row_block(monkeypatch):
+    # the row block is freed before the mirror, and the mirror makes no
+    # d x d temporary: the peak is M_n plus the larger of the row block and
+    # one mirror block, not 2 M_n plus the row block; the slack covers the
+    # weight vectors and numpy's ufunc buffers for the transposed operand
+    monkeypatch.setattr(spectral, "MN_ROW_BLOCK", 64)
+    inst = make_instance(1024, 512, 0, abs_link(), point_mass_dist(0.0),
+                         gaussian_dist())
+    block = spectral.MN_ROW_BLOCK * inst.d * 8
+    mirror = spectral.MN_MIRROR_BLOCK ** 2 * 8
+    tracemalloc.start()
+    try:
+        M = build_Mn(inst, PRE3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= M.nbytes + max(block, mirror) + 2**18 < 2 * M.nbytes + block
+
+
 # ---------------------------------------------------------------------------
 # spectral_estimator
 # ---------------------------------------------------------------------------
