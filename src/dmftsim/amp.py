@@ -210,10 +210,9 @@ def verify_equivalence(amp: AmpRun, gd: Trajectory) -> tuple[float, float]:
         denom = np.linalg.norm(gd.theta[t])
         err_theta = max(err_theta,
                         np.linalg.norm(amp.theta_rec[t] - gd.theta[t]) / denom)
-        if gd.eta is not None:
-            denom = np.linalg.norm(gd.eta[t])
-            err_eta = max(err_eta,
-                          np.linalg.norm(amp.eta_rec[t] - gd.eta[t]) / denom)
+        denom = np.linalg.norm(gd.eta[t])
+        err_eta = max(err_eta,
+                      np.linalg.norm(amp.eta_rec[t] - gd.eta[t]) / denom)
     return float(err_theta), float(err_eta)
 
 

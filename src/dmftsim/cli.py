@@ -48,18 +48,11 @@ def _write_matrix_csv(path: Path, M: np.ndarray, corner: str = "t\\s") -> None:
             fh.write(str(t) + "," + ",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
-def _write_samples(path_base: Path, arr: np.ndarray, fmt: str) -> Path:
-    if fmt == "npy":
-        path = path_base.with_suffix(".npy")
-        # the law's sample arrays are transposed views of the DMFT pools;
-        # save them C-ordered so the file does not depend on the pool layout
-        np.save(path, np.ascontiguousarray(arr))
-    else:
-        path = path_base.with_suffix(".csv")
-        with open(path, "w") as fh:
-            fh.write(",".join(f"c{j}" for j in range(arr.shape[1])) + "\n")
-            for row in arr:
-                fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+def _write_samples(path_base: Path, arr: np.ndarray) -> Path:
+    path = path_base.with_suffix(".npy")
+    # the law's sample arrays are transposed views of the DMFT pools; save
+    # them C-ordered so the file does not depend on the pool layout
+    np.save(path, np.ascontiguousarray(arr))
     return path
 
 
@@ -73,24 +66,20 @@ class Runner:
     # -- shared intermediates ---------------------------------------------
 
     @cached_property
-    def loss(self):
-        return self.cfg.loss()
-
-    @cached_property
     def lam_sol(self):
         cfg = self.cfg
         return solve_lambda_star(
-            cfg.preprocess(), cfg.link(), cfg.noise(), cfg.delta, cfg.quadrature())
+            cfg.pre, cfg.link, cfg.noise, cfg.delta, cfg.quadrature)
 
     @cached_property
     def inst(self):
         cfg = self.cfg
-        return make_instance(cfg.n, cfg.d, cfg.seed, cfg.link(),
-                             cfg.noise(), cfg.signal())
+        return make_instance(cfg.n, cfg.d, cfg.seed, cfg.link, cfg.noise,
+                             cfg.signal)
 
     @cached_property
     def spec_result(self):
-        return spectral_estimator(self.inst, self.cfg.preprocess())
+        return spectral_estimator(self.inst, self.cfg.pre)
 
     @cached_property
     def theta0(self) -> np.ndarray:
@@ -103,7 +92,7 @@ class Runner:
 
     @cached_property
     def traj(self):
-        return run_gd(self.inst, self.loss, self.cfg.gd(), self.theta0)
+        return run_gd(self.inst, self.cfg.loss, self.cfg.gd, self.theta0)
 
     @cached_property
     def dmft(self) -> tuple[dmft_mod.DmftState, dmft_mod.DmftLaw]:
@@ -111,11 +100,11 @@ class Runner:
         and the law that run returns."""
         cfg = self.cfg
         state = dmft_mod.init_dmft(
-            self.loss, cfg.link(), cfg.noise(), cfg.preprocess(),
-            self.lam_sol, cfg.delta, cfg.gamma, cfg.lambda_ridge,
-            cfg.monte_carlo(), signal=cfg.signal(),
+            cfg.loss, cfg.link, cfg.noise, cfg.pre,
+            self.lam_sol, cfg.delta, cfg.gd.gamma, cfg.gd.lambda_ridge,
+            cfg.monte_carlo, signal=cfg.signal,
             independent_init=(cfg.init == "independent"))
-        law = dmft_mod.run_dmft(state, cfg.m)
+        law = dmft_mod.run_dmft(state, cfg.gd.m)
         state.release_paths()
         return state, law
 
@@ -126,8 +115,8 @@ class Runner:
         if cfg.fp_warm_start == "dmft":
             init = fp_mod.warm_start_from_dmft(self.dmft[0])
         return fp_mod.iterate_fixed_point(
-            self.loss, cfg.noise(), cfg.delta, cfg.lambda_ridge, cfg.solver(),
-            init=init, signal=cfg.signal())
+            cfg.loss, cfg.noise, cfg.delta, cfg.gd.lambda_ridge, cfg.solver,
+            init=init, signal=cfg.signal)
 
     def drop_design_matrix(self, remaining) -> None:
         """Drop ``inst.X`` once none of the ``remaining`` stages can read it:
@@ -160,7 +149,7 @@ class Runner:
     def stage_simulate(self) -> dict:
         inst = self.inst
         traj = self.traj
-        loss = self.loss
+        loss = self.cfg.loss
         sqd = np.sqrt(inst.d)
         with open(self.out / "trajectory.csv", "w") as fh:
             fh.write("t,dist,overlap,loss\n")
@@ -195,8 +184,8 @@ class Runner:
             for t in range(n_rows):
                 vals = [FLOAT_FMT % c[t] if t < len(c) else "" for c in cols.values()]
                 fh.write(f"{t}," + ",".join(vals) + "\n")
-        _write_samples(out / "dmft_theta_samples", law.theta_samples, self.cfg.sample_format)
-        _write_samples(out / "dmft_eta_samples", law.eta_samples, self.cfg.sample_format)
+        _write_samples(out / "dmft_theta_samples", law.theta_samples)
+        _write_samples(out / "dmft_eta_samples", law.eta_samples)
         diag = {
             "C_eta_diamond_diamond": state.C_eta_dia_dia,
             "overlap_a": state.a,
@@ -216,7 +205,8 @@ class Runner:
     def stage_fixed_point(self) -> dict:
         cfg = self.cfg
         fp = self.fixed_point
-        res = fp_mod.fixed_point_residuals(fp, self.loss, cfg.delta, cfg.lambda_ridge)
+        res = fp_mod.fixed_point_residuals(fp, cfg.loss, cfg.delta,
+                                           cfg.gd.lambda_ridge)
         record = {
             "R_theta_inf": fp.R_theta_inf,
             "R_eta_inf": fp.R_eta_inf,
@@ -236,10 +226,11 @@ class Runner:
         if cfg.init != "spectral":
             raise ConfigError("field algo.init: amp-check requires spectral init")
         state, law = self.dmft
-        table = amp_mod.onsager_from_dmft(state, cfg.m)
+        gd = cfg.gd
+        table = amp_mod.onsager_from_dmft(state, gd.m)
         run = amp_mod.run_spectral_amp(
-            self.inst, cfg.preprocess(), self.lam_sol, self.theta0,
-            table, self.loss, cfg.gamma, cfg.lambda_ridge, cfg.m)
+            self.inst, cfg.pre, self.lam_sol, self.theta0,
+            table, cfg.loss, gd.gamma, gd.lambda_ridge, gd.m)
         err_theta, err_eta = amp_mod.verify_equivalence(run, self.traj)
         se = amp_mod.se_check(run, law, self.theta0,
                               self.inst.theta_star, cfg.delta)

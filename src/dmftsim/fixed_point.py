@@ -206,7 +206,10 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     smallest pole of the integrand, where the fixed point is defined.  It is
     doubled while that stays below cap and otherwise moved toward cap by
     half the remaining gap, until g changes sign.  Near the pole g tends to
-    -inf, so starting inside it finds a root that lies below the pole.
+    -inf, so starting inside it finds a root that lies below the pole.  When
+    g stays <= 0 up to cap, the upper end is halved down from the start
+    until g > 0, so a positive stretch of g below the start is found too;
+    NoRootError is raised when 60 halvings find none.
 
     Bisection runs for at most 200 steps and stops when the bracket's width
     falls to 1e-16 relative, or as soon as a step leaves (lo, hi) unchanged:
@@ -229,14 +232,23 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
 
     r_pole = pole_radius(d1)
     cap = min(1e6, r_pole * (1.0 - 1e-12))
-    hi = min(1.0, 0.5 * cap)
+    start = hi = min(1.0, 0.5 * cap)
     while g(hi) <= 0.0:
         if hi >= cap * (1.0 - 1e-12):
-            frac = float(np.mean(1.0 + d1 * min(2.0 * hi, 1e6) <= 0))
-            raise NoRootError(
-                "no sign change of the R_theta equation on the pole-free "
-                f"interval (0, {cap:.4g}]; 1 + d1ell * R <= 0 on a "
-                f"{frac:.2%} sample fraction beyond it")
+            # no sign change between the start and cap; g may still be
+            # positive on a stretch below the start
+            top, hi = hi, start
+            for _ in range(60):
+                hi *= 0.5
+                if g(hi) > 0.0:
+                    break
+            else:
+                frac = float(np.mean(1.0 + d1 * min(2.0 * top, 1e6) <= 0))
+                raise NoRootError(
+                    "no sign change of the R_theta equation on the pole-free "
+                    f"interval (0, {cap:.4g}]; 1 + d1ell * R <= 0 on a "
+                    f"{frac:.2%} sample fraction beyond it")
+            break
         hi = 2.0 * hi if 2.0 * hi < cap else hi + 0.5 * (cap - hi)
     lo = 0.0
     for _ in range(200):

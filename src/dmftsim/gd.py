@@ -21,7 +21,6 @@ class GdConfig:
     gamma: float
     lambda_ridge: float
     m: int
-    record_eta: bool = True
 
     def __post_init__(self):
         # "not >=" also refuses nan
@@ -38,7 +37,7 @@ class Trajectory:
     """Iterates theta^0..theta^m (rows) with pre-activations eta^t = X theta^t."""
 
     theta: Array               # (m+1, d)
-    eta: Optional[Array]       # (m+1, n) when recorded
+    eta: Array                 # (m+1, n)
     eta_star: Array            # (n,)
     z: Array                   # (n,)
     gamma: float
@@ -67,13 +66,12 @@ def run_gd(inst: ModelInstance, loss: LossModel, cfg: GdConfig, theta0: Array) -
     X = inst.X
     eta_star = X @ inst.theta_star
     thetas = np.empty((cfg.m + 1, inst.d))
-    etas = np.empty((cfg.m + 1, inst.n)) if cfg.record_eta else None
+    etas = np.empty((cfg.m + 1, inst.n))
     theta = theta0.copy()
     thetas[0] = theta
     for t in range(cfg.m + 1):
         eta = X @ theta
-        if etas is not None:
-            etas[t] = eta
+        etas[t] = eta
         if t == cfg.m:
             break
         grad = X.T @ np.asarray(loss.ell(eta, eta_star, inst.z), dtype=float)
@@ -90,8 +88,6 @@ def run_gd(inst: ModelInstance, loss: LossModel, cfg: GdConfig, theta0: Array) -
 def loss_value(loss: LossModel, traj: Trajectory, t: int) -> float:
     """Regularized empirical risk at iterate t, from the recorded
     pre-activations eta^t and eta*."""
-    if traj.eta is None:
-        raise ValueError("trajectory was run without record_eta")
     vals = np.asarray(loss.L(traj.eta[t], traj.eta_star, traj.z), dtype=float)
     return float(np.sum(vals) + 0.5 * traj.lambda_ridge * np.sum(traj.theta[t]**2))
 
@@ -140,8 +136,6 @@ def empirical_joint(traj: Trajectory, theta_star: Array) -> tuple[Array, Array]:
     """Sample matrices for distributional comparison: d rows of
     (theta^0_j..theta^m_j, theta*_j) and n rows of (eta^0_i..eta^m_i, eta*_i, z_i)."""
     theta_block = np.column_stack([traj.theta.T, np.asarray(theta_star, dtype=float)])
-    if traj.eta is None:
-        raise ValueError("trajectory was run without record_eta")
     eta_block = np.column_stack([traj.eta.T, traj.eta_star, traj.z])
     return theta_block, eta_block
 

@@ -72,8 +72,11 @@ def smoothstep_profile(L_cut: float, U_cut: float) -> TruncationProfile:
     s(x) = 6x^5 - 15x^4 + 10x^3 gives s(0)=0, s(1)=1, s'=s''=0 at both ends,
     so h is C^2 with h1(L_cut) = h1(U_cut) = 0.
     """
-    if not (0 < L_cut < U_cut):
-        raise ValueError(f"need 0 < L_cut < U_cut, got L_cut={L_cut}, U_cut={U_cut}")
+    # "not >" also refuses nan
+    if not L_cut > 0:
+        raise ValueError(f"L_cut must be positive, got {L_cut}")
+    if not U_cut > L_cut:
+        raise ValueError(f"U_cut must exceed L_cut, got L_cut={L_cut}, U_cut={U_cut}")
     width = U_cut - L_cut
 
     def _x(u: Array) -> Array:
@@ -220,8 +223,8 @@ def pseudo_huber_loss(scale: float = 1.0) -> LossModel:
     With link b + c the residual is x = a - b - c, so ell = rho'(x),
     d1ell = rho''(x), d2ell = -rho''(x).  |rho'| <= s and rho'' <= 1.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not scale > 0:    # also refuses nan
+        raise ValueError(f"scale must be positive, got {scale}")
     s2 = scale * scale
 
     def resid(a, b, c):
@@ -272,8 +275,8 @@ def phase_preprocess(M_clip: float) -> PreProcess:
     Ts1 is the a.e. derivative of the implemented map: 2 min(y, M) strictly
     inside (-M, M) and 0 on the saturated set.
     """
-    if M_clip <= 0:
-        raise ValueError("M_clip must be positive")
+    if not M_clip > 0:    # also refuses nan
+        raise ValueError(f"M_clip must be positive, got {M_clip}")
     M2 = M_clip * M_clip
 
     def Ts(y: Array) -> Array:
@@ -310,6 +313,8 @@ class ScalarDist:
 
 
 def gaussian_dist(sigma: float = 1.0) -> ScalarDist:
+    if not sigma >= 0:    # also refuses nan
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     return ScalarDist(
         name=f"gaussian({sigma})",
         sample=lambda rng, size: sigma * rng.standard_normal(size),
@@ -318,6 +323,8 @@ def gaussian_dist(sigma: float = 1.0) -> ScalarDist:
 
 
 def point_mass_dist(value: float = 0.0) -> ScalarDist:
+    if not np.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
     return ScalarDist(
         name=f"point({value})",
         sample=lambda rng, size: np.full(size, float(value)),

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from dmftsim import cli
+from dmftsim import cli, model
 from dmftsim.cli import Runner, main
 from dmftsim.config import ConfigError, load_config
 from dmftsim.dmft import DmftState
@@ -57,14 +57,12 @@ cov_tol = 1.0
 
 [outputs]
 directory = {out}
-sample_format = {fmt}
 stages = {stages}
 """
 
 
 def write_cfg(tmp_path, name="cfg.ini", **kw):
     kw.setdefault("out", str(tmp_path / "out"))
-    kw.setdefault("fmt", "npy")
     kw.setdefault("stages", "spectral,simulate,dmft,amp-check,compare")
     path = tmp_path / name
     path.write_text(BASE_CFG.format(**kw))
@@ -75,8 +73,8 @@ def test_config_roundtrip(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     assert cfg.n == 200 and cfg.d == 100
     assert cfg.delta == 2.0
-    assert cfg.loss_name == "rwf"
-    assert cfg.preprocess_params == {"M_clip": 3.0}
+    assert cfg.loss.name == "rwf"
+    assert cfg.pre.M_clip == 3.0
 
 
 def test_config_missing_field(tmp_path):
@@ -87,7 +85,7 @@ def test_config_missing_field(tmp_path):
 
 
 def test_config_unknown_loss_names_field(tmp_path):
-    text = BASE_CFG.format(out=str(tmp_path), fmt="npy", stages="simulate")
+    text = BASE_CFG.format(out=str(tmp_path), stages="simulate")
     text = text.replace("name = rwf", "name = nonsense")
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -96,7 +94,7 @@ def test_config_unknown_loss_names_field(tmp_path):
 
 
 def test_config_delta_mismatch(tmp_path):
-    text = BASE_CFG.format(out=str(tmp_path), fmt="npy", stages="simulate")
+    text = BASE_CFG.format(out=str(tmp_path), stages="simulate")
     text = text.replace("[model]", "[model]\ndelta = 3.0")
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -105,7 +103,7 @@ def test_config_delta_mismatch(tmp_path):
 
 
 def test_cli_exit_codes_for_bad_config(tmp_path, capsys):
-    text = BASE_CFG.format(out=str(tmp_path), fmt="npy", stages="simulate")
+    text = BASE_CFG.format(out=str(tmp_path), stages="simulate")
     text = text.replace("name = rwf", "name = nonsense")
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -157,15 +155,6 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     assert names == sorted(p.name for p in out_b.iterdir())
     for name in names:
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
-
-
-def test_csv_sample_format(tmp_path):
-    cfg = write_cfg(tmp_path, fmt="csv", stages="dmft")
-    assert main(["pipeline", "--config", str(cfg)]) == 0
-    path = tmp_path / "out" / "dmft_theta_samples.csv"
-    assert path.exists()
-    header = path.read_text().split("\n", 1)[0]
-    assert header.startswith("c0,")
 
 
 def test_seed_override(tmp_path):
@@ -248,15 +237,23 @@ def test_amp_check_with_independent_init_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def write_cfg_with(tmp_path, section, key, value, **kw):
-    """write_cfg with one field overridden."""
+def write_cfg_with(tmp_path, fields, **kw):
+    """write_cfg with the {(section, key): value} ``fields`` overridden."""
     cp = configparser.ConfigParser()
     cp.read(write_cfg(tmp_path, **kw))
-    cp.set(section, key, value)
+    for (section, key), value in fields.items():
+        cp.set(section, key, value)
     path = tmp_path / "override.ini"
     with open(path, "w") as fh:
         cp.write(fh)
     return path
+
+
+# fields a case also sets, so that the model it builds reads its field
+CASE_CONTEXT = {
+    ("model", "noise_sigma"): {("model", "noise"): "gaussian"},
+    ("loss", "scale"): {("loss", "name"): "linear-pseudo-huber"},
+}
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -276,14 +273,57 @@ def write_cfg_with(tmp_path, section, key, value, **kw):
     ("compare", "w2_tol", "-1"),
     ("compare", "cov_tol", "nan"),
     ("compare", "cov_tol", "-1"),
+    ("model", "noise_sigma", "nan"),
+    ("model", "noise_sigma", "-1"),
+    ("model", "noise_value", "nan"),
+    ("loss", "scale", "nan"),
+    ("loss", "m_clip", "nan"),
 ])
 def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
-    path = write_cfg_with(tmp_path, section, key, value,
+    fields = {**CASE_CONTEXT.get((section, key), {}), (section, key): value}
+    path = write_cfg_with(tmp_path, fields,
                           stages="spectral,simulate,dmft,fixed-point,compare")
     code = main(["pipeline", "--config", str(path)])
     assert code == 2
     assert f"field {section}.{key}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("algo", "gama", "0.3"),
+    ("outputs", "sample_format", "csv"),
+])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, section, key, value):
+    path = write_cfg_with(tmp_path, {(section, key): value})
+    with pytest.raises(ConfigError, match=f"field {section}.{key}: unknown key"):
+        load_config(path)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert f"field {section}.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_section_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text(BASE_CFG.format(out=str(tmp_path), stages="simulate")
+                    + "[algos]\n")
+    with pytest.raises(ConfigError, match=r"section \[algos\]"):
+        load_config(path)
+
+
+def test_pipeline_builds_the_loss_once(tmp_path, monkeypatch):
+    built = []
+    rwf_loss = model.rwf_loss
+
+    def counting_rwf_loss(profile):
+        built.append(profile)
+        return rwf_loss(profile)
+    monkeypatch.setattr(model, "rwf_loss", counting_rwf_loss)
+    path = write_cfg(tmp_path, stages="spectral,simulate,dmft,amp-check,"
+                                      "fixed-point,compare")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        main(["pipeline", "--config", str(path)])
+    assert len(built) == 1
 
 
 def test_raising_stage_is_recorded_in_pipeline_status(tmp_path, monkeypatch):

@@ -403,7 +403,7 @@ def test_law_is_a_view_of_the_pools_and_saves_c_ordered_bytes(tmp_path):
         assert np.shares_memory(getattr(law, name), pool), name
     for name in ("theta_samples", "eta_samples"):
         arr = getattr(law, name)
-        written = _write_samples(tmp_path / name, arr, "npy")
+        written = _write_samples(tmp_path / name, arr)
         np.save(tmp_path / "c_ordered.npy", np.array(arr, order="C"))
         assert written.read_bytes() == (tmp_path / "c_ordered.npy").read_bytes()
 

@@ -96,6 +96,23 @@ def test_solve_R_theta_finds_interior_root_below_a_pole_under_one():
     assert abs(g(R)) <= R_RESIDUAL_TOL
 
 
+def test_solve_R_theta_searches_below_its_start():
+    # 65 % of samples with d1 = 100 and 35 % with d1 = -1.5: the pole is at
+    # R = 2/3 and the search starts at cap/2 ~ 1/3, where g < 0; g is
+    # positive on a stretch below the start, around R = 0.1
+    d1 = np.concatenate([np.full(650, 100.0), np.full(350, -1.5)])
+    delta = 2.0
+
+    def g(R):
+        return delta * np.mean(d1 * R / (1.0 + d1 * R)) - 1.0
+    cap = pole_radius(d1) * (1.0 - 1e-12)
+    assert g(0.1) > 0 and g(0.5 * cap) < 0
+    R = solve_R_theta(d1, delta, 0.0)
+    assert R == pytest.approx(scipy.optimize.brentq(g, 0.0, 0.1, xtol=1e-15),
+                              rel=1e-12)
+    assert abs(g(R)) <= R_RESIDUAL_TOL
+
+
 def solve_R_theta_200_steps(d1, delta, lambda_ridge):
     """solve_R_theta as it was before its bisection stopped at a fixed point:
     up to 200 steps with only the relative-width stop rule."""

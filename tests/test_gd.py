@@ -217,6 +217,3 @@ def test_loss_value_reads_recorded_pre_activations_bitwise():
         vals = loss.L(inst.X @ theta, inst.X @ inst.theta_star, inst.z)
         recomputed = float(np.sum(vals) + 0.5 * 0.3 * np.sum(theta**2))
         assert loss_value(loss, traj, t) == recomputed
-    no_eta = run_gd(inst, loss, GdConfig(0.02, 0.3, 6, record_eta=False), theta0)
-    with pytest.raises(ValueError, match="record_eta"):
-        loss_value(loss, no_eta, 0)
