@@ -77,60 +77,61 @@ class NoRootError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
-                    loss: LossModel, warn_multiroot: bool = True
-                    ) -> tuple[Array, Array]:
+                    loss: LossModel, warn_multiroot: bool = True,
+                    pool_eval=None) -> tuple[Array, Array, Array, Array]:
     """Stable roots of F(eta) = eta + R ell(eta, w*, z) - w_inf, one per
-    sample, and d1ell at them.
+    sample, and ell, d1ell and d2ell at them.
 
     Newton from eta = w_inf with bisection fallback on the bracket
-    [w_inf - R B, w_inf + R B].  A root is stable when F' = 1 + R d1ell > 0
-    there; a Newton root that is not goes to the fallback too, which takes
-    the upward crossing of F nearest to w_inf.  When the sign pattern on the
-    bracket shows several crossings a warning is issued.  The d1ell the
-    stability test needs is returned, so callers evaluate it once.
+    [w_inf - R B, w_inf + R B].  Each Newton step makes one fused
+    evaluation (``loss.evaluator``) over the whole pool and moves only the
+    samples whose residual still exceeds the tolerance; a sample that met
+    it keeps its eta, so its residual is recomputed from the same bits.  A
+    root is stable when F' = 1 + R d1ell > 0 there; a Newton root that is
+    not goes to the fallback too, which takes the upward crossing of F
+    nearest to w_inf.  When the sign pattern on the bracket shows several
+    crossings a warning is issued.  One evaluation at the Newton roots
+    serves the residual check, the stability test and the returned values;
+    only the samples a fallback moves are evaluated again.  ``pool_eval``
+    is ``loss.evaluator(w_star, z)`` when a caller already holds it.
     """
     w_inf = np.asarray(w_inf, dtype=float)
     w_star = np.asarray(w_star, dtype=float)
     z = np.asarray(z, dtype=float)
-    if R == 0.0:
-        eta = w_inf.copy()
-        return eta, np.asarray(loss.d1ell(eta, w_star, z), dtype=float)
-
-    def F(eta, wi=w_inf, ws=w_star, zz=z):
-        return eta + R * np.asarray(loss.ell(eta, ws, zz), dtype=float) - wi
-
+    ev = pool_eval if pool_eval is not None else loss.evaluator(w_star, z)
     eta = w_inf.copy()
-    active = np.arange(eta.size)
+    if R == 0.0:
+        return (eta, *ev(eta, d2=True))
+
     for _ in range(25):
-        f_act = F(eta[active], w_inf[active], w_star[active], z[active])
-        done = np.abs(f_act) <= 0.1 * ETA_RESIDUAL_TOL
-        if np.all(done):
-            active = active[:0]
+        ell, d1, _ = ev(eta)
+        f = eta + R * ell - w_inf
+        todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
+        if not np.any(todo):
             break
-        keep = ~done
-        active = active[keep]
-        f_act = f_act[keep]
-        fp = 1.0 + R * np.asarray(
-            loss.d1ell(eta[active], w_star[active], z[active]), dtype=float)
+        fp = 1.0 + R * d1
         safe = np.abs(fp) >= 1e-3
-        eta[active] = np.where(safe, eta[active] - f_act / np.where(safe, fp, 1.0),
-                               eta[active])
+        np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
+    ell, d1, d2 = ev(eta, d2=True)
 
     half = abs(R) * loss.ell_bound if loss.ell_bound is not None else None
-    off = np.abs(F(eta)) > ETA_RESIDUAL_TOL
+
+    def fall_back(moved):
+        if moved.size:
+            eta[moved] = _bisect_eta(loss, R, w_inf[moved], w_star[moved],
+                                     z[moved], half)
+            ell[moved], d1[moved], d2[moved] = ev(eta[moved], moved, d2=True)
+
+    off = np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL
     if half is not None:
         off |= np.abs(eta - w_inf) > half * (1 + 1e-9)
-    if np.any(off):
-        idx = np.where(off)[0]
-        eta[idx] = _bisect_eta(loss, R, w_inf[idx], w_star[idx], z[idx], half)
-    d1 = np.asarray(loss.d1ell(eta, w_star, z), dtype=float)
-    unstable = np.where(1.0 + R * d1 <= 0.0)[0]
-    if unstable.size:
-        ws, zz = w_star[unstable], z[unstable]
-        eta[unstable] = _bisect_eta(loss, R, w_inf[unstable], ws, zz, half)
-        d1[unstable] = np.asarray(loss.d1ell(eta[unstable], ws, zz), dtype=float)
+    fall_back(np.flatnonzero(off))
+    fall_back(np.flatnonzero(1.0 + R * d1 <= 0.0))
 
     if warn_multiroot and half is not None and half > 0:
+        def F(eta):
+            return eta + R * np.asarray(loss.ell(eta, w_star, z), dtype=float) - w_inf
+
         grid = np.linspace(-1.0, 1.0, 33)
         vals = np.stack([F(w_inf + g * half) for g in grid], axis=1)
         crossings = np.sum(np.diff(np.signbit(vals), axis=1) != 0, axis=1)
@@ -140,7 +141,7 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
                 f"eta fixed-point equation shows multiple crossings on "
                 f"{n_multi} of {w_inf.size} samples; nearest stable root to "
                 "w_inf kept", RuntimeWarning)
-    return eta, d1
+    return eta, ell, d1, d2
 
 
 def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
@@ -176,19 +177,6 @@ def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def solve_eta_implicit(R_theta_inf: float, w_inf: float, w_star: float,
-                       z: float, loss: LossModel) -> float:
-    """Scalar version of the eta fixed-point solve (pool version vectorized)."""
-    eta, _ = _solve_eta_pool(
-        R_theta_inf,
-        np.array([w_inf], dtype=float),
-        np.array([w_star], dtype=float),
-        np.array([z], dtype=float),
-        loss,
-    )
-    return float(eta[0])
 
 
 def pole_radius(d1_pool: Array) -> float:
@@ -318,6 +306,7 @@ def iterate_fixed_point(
     Gamma = R_eta = R_eta_star = C_eta = 0.0
     eta = w_inf = u_inf = theta_inf = None
     w_star = g_wstar  # Var(w*) = C[1,1] = 1 pinned
+    pool_eval = loss.evaluator(w_star, z)    # (w*, z) is fixed across outer steps
     trace = []
     params_prev = None
     n_projected = 0
@@ -327,10 +316,9 @@ def iterate_fixed_point(
         c11, c12 = C[0, 0], C[0, 1]
         resid_var = max(c11 - c12 * c12, 0.0)
         w_inf = c12 * g_wstar + np.sqrt(resid_var) * g_worth
-        eta, d1 = _solve_eta_pool(R_theta, w_inf, w_star, z, loss,
-                                  warn_multiroot=(it == 1))
-        d2 = np.asarray(loss.d2ell(eta, w_star, z), dtype=float)
-        ell = np.asarray(loss.ell(eta, w_star, z), dtype=float)
+        eta, ell, d1, d2 = _solve_eta_pool(R_theta, w_inf, w_star, z, loss,
+                                           warn_multiroot=(it == 1),
+                                           pool_eval=pool_eval)
         Gamma = float(np.mean(d1))
         try:
             R_theta_new = solve_R_theta(d1, delta, lambda_ridge)
@@ -434,9 +422,7 @@ def fixed_point_residuals(state: FixedPointState, loss: LossModel,
                           delta: float, lambda_ridge: float) -> dict:
     """Numeric residuals of the seven fixed-point equations under the pools."""
     eta, w_star, z = state.eta_inf, state.w_star, state.z
-    ell = np.asarray(loss.ell(eta, w_star, z), dtype=float)
-    d1 = np.asarray(loss.d1ell(eta, w_star, z), dtype=float)
-    d2 = np.asarray(loss.d2ell(eta, w_star, z), dtype=float)
+    ell, d1, d2 = loss.evaluator(w_star, z)(eta, d2=True)
     R = state.R_theta_inf
     lhs1 = (-(lambda_ridge + delta * state.Gamma_inf + state.R_eta_inf) * state.theta_inf
             - state.R_eta_star * state.theta_star + state.u_inf)

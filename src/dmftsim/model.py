@@ -79,24 +79,33 @@ def smoothstep_profile(L_cut: float, U_cut: float) -> TruncationProfile:
         raise ValueError(f"U_cut must exceed L_cut, got L_cut={L_cut}, U_cut={U_cut}")
     width = U_cut - L_cut
 
-    def _x(u: Array) -> Array:
-        return np.clip((np.asarray(u, dtype=float) - L_cut) / width, 0.0, 1.0)
+    # The polynomial runs only on the band L_cut < u < U_cut.  Outside it,
+    # h is exactly 1 or 0 and h1 = h2 = 0: the values the polynomial gives
+    # at x = 0 and x = 1, so the band restriction moves no bit.
+    def _on_band(u: Array, band: Array, fill: Array, poly) -> Array:
+        """``fill`` with poly(x), x = (u - L_cut) / width, written over
+        the band; x lies in [0, 1] there, so it needs no clipping."""
+        idx = np.flatnonzero(band)
+        out = fill.reshape(-1)
+        out[idx] = poly((u.reshape(-1)[idx] - L_cut) / width)
+        return out.reshape(u.shape)
 
     def h(u: Array) -> Array:
-        x = _x(u)
-        return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+        u = np.asarray(u, dtype=float)
+        below = u <= L_cut
+        # nan falls in the band, and the polynomial carries it through
+        return _on_band(u, ~(below | (u >= U_cut)), np.asarray(below, dtype=float),
+                        lambda x: 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x)))
 
     def h1(u: Array) -> Array:
         u = np.asarray(u, dtype=float)
-        x = _x(u)
-        inside = (u > L_cut) & (u < U_cut)
-        return np.where(inside, -30.0 * x * x * (x - 1.0) ** 2 / width, 0.0)
+        return _on_band(u, (u > L_cut) & (u < U_cut), np.zeros(u.shape),
+                        lambda x: -30.0 * x * x * (x - 1.0) ** 2 / width)
 
     def h2(u: Array) -> Array:
         u = np.asarray(u, dtype=float)
-        x = _x(u)
-        inside = (u > L_cut) & (u < U_cut)
-        return np.where(inside, -60.0 * x * (2.0 * x - 1.0) * (x - 1.0) / width**2, 0.0)
+        return _on_band(u, (u > L_cut) & (u < U_cut), np.zeros(u.shape),
+                        lambda x: -60.0 * x * (2.0 * x - 1.0) * (x - 1.0) / width**2)
 
     # sup|s'| = 30/16 at x=1/2; sup|s''| = 10*sqrt(3)/3 at x = 1/2 +- sqrt(3)/6
     return TruncationProfile(
@@ -120,6 +129,10 @@ class LossModel:
 
     d1ell = d ell / da, d2ell = d ell / db.  ``ell_bound`` is a uniform bound
     on |ell| when one exists (needed by the long-time eta solver), else None.
+
+    ``pool_evaluator(b, c)``, when given, returns a fused evaluator for a
+    fixed pool (b, c); ``evaluator`` describes its call and supplies one
+    built from the three callables otherwise.
     """
 
     name: str
@@ -130,6 +143,23 @@ class LossModel:
     d1_bound: float
     d2_bound: float
     ell_bound: Optional[float] = None
+    pool_evaluator: Optional[Callable[[Array, Array], Callable]] = None
+
+    def evaluator(self, b: Array, c: Array) -> Callable:
+        """``ev(a, idx=None, d2=False) -> (ell, d1ell, d2ell or None)`` at a
+        on the pool (b, c), or on its entries ``idx`` (then a matches
+        b[idx]).  The values are bitwise those of the three callables."""
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        if self.pool_evaluator is not None:
+            return self.pool_evaluator(b, c)
+
+        def ev(a, idx=None, d2=False):
+            bb, cc = (b, c) if idx is None else (b[idx], c[idx])
+            ell = np.asarray(self.ell(a, bb, cc), dtype=float)
+            d1 = np.asarray(self.d1ell(a, bb, cc), dtype=float)
+            return ell, d1, np.asarray(self.d2ell(a, bb, cc), dtype=float) if d2 else None
+        return ev
 
 
 def rwf_loss(profile: TruncationProfile) -> LossModel:
@@ -146,46 +176,62 @@ def rwf_loss(profile: TruncationProfile) -> LossModel:
                  + 2 a^2 (a^2 - q^2)^2 h''(a^2)] h(q^2)
         d2ell = sign(b) * [ -4 a q (h(a^2) + (a^2 - q^2) h'(a^2)) h(q^2)
                  + 2 q (2 a (a^2-q^2) h(a^2) + a (a^2-q^2)^2 h'(a^2)) h'(q^2) ].
+
+    The pool evaluator computes q, q^2, h(q^2), h'(q^2) and sign(b) once
+    per pool, and a^2, a^2 - q^2 and the h terms at a^2 once per call.
     """
     h, h1, h2 = profile.h, profile.h1, profile.h2
 
-    def q_of(b: Array, c: Array) -> Array:
-        return np.abs(b) + c
+    # each formula once, over the terms its callers share; g = ell / h(q^2)
+    def g_of(a, r, ha, h1a):
+        return 2.0 * a * r * ha + a * r * r * h1a
+
+    def d1_of(a2, q2, r, ha, h1a, h2a, hq):
+        return (2.0 * (3.0 * a2 - q2) * ha + (9.0 * a2 - q2) * r * h1a
+                + 2.0 * a2 * r * r * h2a) * hq
+
+    def d2_of(a, q, r, ha, h1a, g, hq, h1q, sb):
+        return (-4.0 * a * q * (ha + r * h1a) * hq + 2.0 * q * g * h1q) * sb
+
+    def terms(a, b, c):
+        a = np.asarray(a, dtype=float)
+        q = np.abs(np.asarray(b, dtype=float)) + np.asarray(c, dtype=float)
+        a2, q2 = a * a, q * q
+        return a, q, a2, q2, a2 - q2
 
     def L_fn(a, b, c):
-        a = np.asarray(a, dtype=float)
-        q = q_of(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-        r = a * a - q * q
-        return 0.5 * r * r * h(a * a) * h(q * q)
+        a, q, a2, q2, r = terms(a, b, c)
+        return 0.5 * r * r * h(a2) * h(q2)
 
     def ell_fn(a, b, c):
-        a = np.asarray(a, dtype=float)
-        q = q_of(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-        r = a * a - q * q
-        return (2.0 * a * r * h(a * a) + a * r * r * h1(a * a)) * h(q * q)
+        a, q, a2, q2, r = terms(a, b, c)
+        return g_of(a, r, h(a2), h1(a2)) * h(q2)
 
     def d1ell_fn(a, b, c):
-        a = np.asarray(a, dtype=float)
-        q = q_of(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-        a2, q2 = a * a, q * q
-        r = a2 - q2
-        return (
-            2.0 * (3.0 * a2 - q2) * h(a2)
-            + (9.0 * a2 - q2) * r * h1(a2)
-            + 2.0 * a2 * r * r * h2(a2)
-        ) * h(q2)
+        a, q, a2, q2, r = terms(a, b, c)
+        return d1_of(a2, q2, r, h(a2), h1(a2), h2(a2), h(q2))
 
     def d2ell_fn(a, b, c):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        q = q_of(b, np.asarray(c, dtype=float))
-        a2, q2 = a * a, q * q
-        r = a2 - q2
-        dq = (
-            -4.0 * a * q * (h(a2) + r * h1(a2)) * h(q2)
-            + 2.0 * q * (2.0 * a * r * h(a2) + a * r * r * h1(a2)) * h1(q2)
-        )
-        return dq * np.sign(b)
+        a, q, a2, q2, r = terms(a, b, c)
+        ha, h1a = h(a2), h1(a2)
+        return d2_of(a, q, r, ha, h1a, g_of(a, r, ha, h1a), h(q2), h1(q2),
+                     np.sign(np.asarray(b, dtype=float)))
+
+    def pool_evaluator(b, c):
+        q = np.abs(b) + c
+        q2 = q * q
+        pool = (q, q2, h(q2), h1(q2), np.sign(b))
+
+        def ev(a, idx=None, d2=False):
+            a = np.asarray(a, dtype=float)
+            q, q2, hq, h1q, sb = pool if idx is None else (v[idx] for v in pool)
+            a2 = a * a
+            r = a2 - q2
+            ha, h1a = h(a2), h1(a2)
+            g = g_of(a, r, ha, h1a)
+            return (g * hq, d1_of(a2, q2, r, ha, h1a, h2(a2), hq),
+                    d2_of(a, q, r, ha, h1a, g, hq, h1q, sb) if d2 else None)
+        return ev
 
     d1_b, d2_b, ell_b = _grid_bounds(ell_fn, d1ell_fn, d2ell_fn, profile.U_cut)
     return LossModel(
@@ -197,6 +243,7 @@ def rwf_loss(profile: TruncationProfile) -> LossModel:
         d1_bound=d1_b,
         d2_bound=d2_b,
         ell_bound=ell_b,
+        pool_evaluator=pool_evaluator,
     )
 
 
@@ -230,26 +277,41 @@ def pseudo_huber_loss(scale: float = 1.0) -> LossModel:
     def resid(a, b, c):
         return np.asarray(a, dtype=float) - np.asarray(b, dtype=float) - np.asarray(c, dtype=float)
 
+    # each formula once, over x and t = 1 + x^2 / s^2
+    def t_of(x):
+        return 1.0 + x * x / s2
+
+    def ell_of(x, t):
+        return x / np.sqrt(t)
+
+    def rho2_of(t):
+        return t ** -1.5
+
     def L_fn(a, b, c):
-        x = resid(a, b, c)
-        return s2 * (np.sqrt(1.0 + x * x / s2) - 1.0)
+        return s2 * (np.sqrt(t_of(resid(a, b, c))) - 1.0)
 
     def ell_fn(a, b, c):
         x = resid(a, b, c)
-        return x / np.sqrt(1.0 + x * x / s2)
+        return ell_of(x, t_of(x))
 
-    def rho2(x):
-        return (1.0 + x * x / s2) ** -1.5
+    def pool_evaluator(b, c):
+        def ev(a, idx=None, d2=False):
+            x = resid(a, b, c) if idx is None else resid(a, b[idx], c[idx])
+            t = t_of(x)
+            rho2 = rho2_of(t)
+            return ell_of(x, t), rho2, -rho2 if d2 else None
+        return ev
 
     return LossModel(
         name="linear-pseudo-huber",
         L=L_fn,
         ell=ell_fn,
-        d1ell=lambda a, b, c: rho2(resid(a, b, c)),
-        d2ell=lambda a, b, c: -rho2(resid(a, b, c)),
+        d1ell=lambda a, b, c: rho2_of(t_of(resid(a, b, c))),
+        d2ell=lambda a, b, c: -rho2_of(t_of(resid(a, b, c))),
         d1_bound=1.0,
         d2_bound=1.0,
         ell_bound=float(scale),
+        pool_evaluator=pool_evaluator,
     )
 
 

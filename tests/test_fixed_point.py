@@ -18,7 +18,6 @@ from dmftsim.fixed_point import (
     iterate_fixed_point,
     pole_radius,
     solve_R_theta,
-    solve_eta_implicit,
     warm_start_from_dmft,
 )
 from dmftsim.model import (
@@ -185,13 +184,20 @@ def test_solve_R_theta_stops_at_its_fixed_point(monkeypatch, low, high, delta,
     assert counter.calls <= 64
 
 
+def solve_eta_one(R, w_inf, w_star, z, loss):
+    """The eta root of one sample, from a one-element pool."""
+    eta, _, _, _ = _solve_eta_pool(R, np.array([w_inf]), np.array([w_star]),
+                                   np.array([z]), loss)
+    return float(eta[0])
+
+
 def test_solve_eta_trivial_cases():
-    assert solve_eta_implicit(0.0, 3.7, 0.1, 0.2, RWF) == 3.7
+    assert solve_eta_one(0.0, 3.7, 0.1, 0.2, RWF) == 3.7
     lin = ridge_loss()
     # ell = a with b = 0: eta + 0.5 eta = 3
-    assert abs(solve_eta_implicit(0.5, 3.0, 0.0, 0.0, lin) - 2.0) <= 1e-12
+    assert abs(solve_eta_one(0.5, 3.0, 0.0, 0.0, lin) - 2.0) <= 1e-12
     # RWF at the noiseless truth: ell(w*, w*, 0) = 0, so eta = w* is the root
-    assert abs(solve_eta_implicit(0.2, 1.3, 1.3, 0.0, RWF) - 1.3) <= 1e-12
+    assert abs(solve_eta_one(0.2, 1.3, 1.3, 0.0, RWF) - 1.3) <= 1e-12
 
 
 def sin_loss():
@@ -212,7 +218,7 @@ def sin_loss():
 def test_solve_eta_multiroot_warning_picks_nearest():
     w_inf = 0.3
     with pytest.warns(RuntimeWarning, match="multiple crossings"):
-        eta = solve_eta_implicit(5.0, w_inf, 0.0, 0.0, sin_loss())
+        eta = solve_eta_one(5.0, w_inf, 0.0, 0.0, sin_loss())
     assert abs(eta + 5.0 * np.sin(eta) - w_inf) <= 1e-10
     assert abs(eta) < 0.2  # the nearest root, not the ones beyond pi
 
@@ -223,7 +229,7 @@ def test_solve_eta_keeps_nearest_stable_root():
     R, w_inf = 5.0, np.array([3.0, 0.3])
     loss = sin_loss()
     with pytest.warns(RuntimeWarning, match="multiple crossings"):
-        eta, d1 = _solve_eta_pool(R, w_inf, np.zeros(2), np.zeros(2), loss)
+        eta, _, d1, _ = _solve_eta_pool(R, w_inf, np.zeros(2), np.zeros(2), loss)
     assert np.all(np.abs(eta + R * np.sin(eta) - w_inf) <= 1e-10)
     assert np.all(1.0 + R * np.cos(eta) > 0.0)
     assert np.array_equal(d1, np.cos(eta))
@@ -234,6 +240,34 @@ def test_solve_eta_keeps_nearest_stable_root():
     nearest = grid[up[np.argmin(np.abs(grid[up] - w_inf[0]))]]
     assert abs(eta[0] - nearest) <= 1e-5
     assert abs(eta[1]) < 0.2
+
+
+def assert_values_at_roots(loss, eta, ell, d1, d2, w_star, z):
+    for got, f in zip((ell, d1, d2), (loss.ell, loss.d1ell, loss.d2ell)):
+        assert got.tobytes() == np.asarray(f(eta, w_star, z), dtype=float).tobytes()
+
+
+def test_solve_eta_returns_the_loss_values_at_its_roots():
+    rng = np.random.default_rng(5)
+    K = 4000
+    # RWF through its pool evaluator, with a^2 in the cutoff band for some
+    w_star = 2.0 * rng.standard_normal(K)
+    z = 0.3 * rng.standard_normal(K)
+    w_inf = w_star + 0.5 * rng.standard_normal(K)
+    eta, ell, d1, d2 = _solve_eta_pool(0.05, w_inf, w_star, z, RWF,
+                                       warn_multiroot=False)
+    assert np.any((eta**2 > 9.0) & (eta**2 < 18.0))
+    assert_values_at_roots(RWF, eta, ell, d1, d2, w_star, z)
+    # sin_loss through the default evaluator; from w_inf = 3 Newton lands
+    # on an unstable root, which the fallback replaces
+    loss = sin_loss()
+    w_inf = np.concatenate([[3.0], rng.uniform(-4.0, 4.0, 99)])
+    zeros = np.zeros(w_inf.size)
+    with pytest.warns(RuntimeWarning, match="multiple crossings"):
+        eta, ell, d1, d2 = _solve_eta_pool(5.0, w_inf, zeros, zeros, loss)
+    assert np.all(1.0 + 5.0 * d1 > 0.0)
+    assert abs(eta[0] - 3.0) > 1.0
+    assert_values_at_roots(loss, eta, ell, d1, d2, zeros, zeros)
 
 
 def test_noisy_phase_retrieval_converges_near_the_dmft_tail():
@@ -259,6 +293,28 @@ def test_noisy_phase_retrieval_converges_near_the_dmft_tail():
     assert abs(fp.C_theta_inf[0, 0] - tail[0]) <= 0.01
     assert abs(fp.C_theta_inf[0, 1] - tail[1]) <= 0.01
     assert abs(fp.R_theta_inf - tail[2]) <= 0.002
+
+
+def test_names_read_and_patched_by_the_benchmark_tracer(monkeypatch):
+    # bench/tracer.py times the eta-pool solve and the R_theta root by
+    # wrapping the module globals iterate_fixed_point calls: one call each
+    # per outer step
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+    for name in ("_solve_eta_pool", "solve_R_theta"):
+        monkeypatch.setattr(fixed_point, name,
+                            counting(name, getattr(fixed_point, name)))
+    cfg = SolverConfig(K=5000, damping=0.5, tol=1e-8, max_outer=40, seed=2)
+    st = fixed_point.iterate_fixed_point(RWF, point_mass_dist(0.0), 10.0, 0.0,
+                                         cfg, init=pr_warm_init())
+    assert st.iterations > 2
+    assert calls == {"_solve_eta_pool": st.iterations,
+                     "solve_R_theta": st.iterations}
 
 
 # ---------------------------------------------------------------------------

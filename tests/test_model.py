@@ -74,6 +74,78 @@ def test_smoothstep_declared_sups_hold():
     assert np.max(np.abs(p.h2(u))) <= p.h2_sup * (1 + 1e-12)
 
 
+def full_grid_cutoff(L_cut, U_cut):
+    """h, h1 and h2 evaluated on every input, as they were before the
+    polynomial was restricted to the band L_cut < u < U_cut."""
+    width = U_cut - L_cut
+
+    def _x(u):
+        return np.clip((np.asarray(u, dtype=float) - L_cut) / width, 0.0, 1.0)
+
+    def h(u):
+        x = _x(u)
+        return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+
+    def h1(u):
+        u = np.asarray(u, dtype=float)
+        x = _x(u)
+        inside = (u > L_cut) & (u < U_cut)
+        return np.where(inside, -30.0 * x * x * (x - 1.0) ** 2 / width, 0.0)
+
+    def h2(u):
+        u = np.asarray(u, dtype=float)
+        x = _x(u)
+        inside = (u > L_cut) & (u < U_cut)
+        return np.where(inside, -60.0 * x * (2.0 * x - 1.0) * (x - 1.0) / width**2, 0.0)
+    return h, h1, h2
+
+
+@pytest.mark.parametrize("L_cut, U_cut", [(9.0, 18.0), (0.3, 0.7)])
+def test_band_cutoff_equals_full_grid_formulas_bitwise(L_cut, U_cut):
+    p = smoothstep_profile(L_cut, U_cut)
+    edges = [np.nextafter(v, d) for v in (L_cut, U_cut) for d in (-np.inf, np.inf)]
+    special = [L_cut, U_cut, *edges, 0.0, -0.0, -1.0, -1e300, 1e300,
+               np.inf, -np.inf, np.nan]
+    u = np.concatenate([special, np.linspace(-1.0, 1.5 * U_cut, 2001),
+                        np.random.default_rng(4).uniform(L_cut, U_cut, 501)])
+    inputs = [u, u.reshape(-1, 2), u.reshape(2, -1).T,   # 2-D, also strided
+              *[np.array(v) for v in special + [0.5 * (L_cut + U_cut)]]]
+    for new, ref in zip((p.h, p.h1, p.h2), full_grid_cutoff(L_cut, U_cut)):
+        for v in inputs:
+            got, want = np.asarray(new(v)), np.asarray(ref(v))
+            assert got.shape == want.shape == v.shape
+            assert got.tobytes() == want.tobytes(), (new.__name__, v)
+
+
+# ---------------------------------------------------------------------------
+# Fused pool evaluator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("loss", [rwf_loss(smoothstep_profile(9.0, 18.0)),
+                                  pseudo_huber_loss(0.7)],
+                         ids=["rwf", "pseudo-huber"])
+def test_pool_evaluator_equals_the_callables_bitwise(loss):
+    # a spans the cutoff band a^2 in (9, 18) and both sides of it
+    rng = np.random.default_rng(21)
+    K = 20000
+    b = 2.0 * rng.standard_normal(K)
+    c = 0.3 * rng.standard_normal(K)
+    a = np.concatenate([3.5 * rng.standard_normal(K - 6),
+                        [0.0, 3.0, -3.0, np.sqrt(18.0), 5.0, -6.0]])
+    ev = loss.evaluator(b, c)
+    idx = np.sort(rng.choice(K, size=777, replace=False))
+    for at, bb, cc, sub in ((a, b, c, None), (a[idx], b[idx], c[idx], idx)):
+        want = [np.asarray(f(at, bb, cc), dtype=float)
+                for f in (loss.ell, loss.d1ell, loss.d2ell)]
+        ell, d1, d2 = ev(at, sub, d2=True)
+        for got, ref in zip((ell, d1, d2), want):
+            assert got.tobytes() == ref.tobytes()
+        ell, d1, none = ev(at, sub)
+        assert none is None
+        assert ell.tobytes() == want[0].tobytes()
+        assert d1.tobytes() == want[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # RWF loss
 # ---------------------------------------------------------------------------
