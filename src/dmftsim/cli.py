@@ -28,6 +28,11 @@ from .spectral import solve_lambda_star, spectral_estimator
 FLOAT_FMT = "%.17g"
 
 
+def _status(failures: list) -> dict:
+    """A stage's pipeline status: ok, or not ok with its failed checks."""
+    return {"ok": False, "reason": "; ".join(failures)} if failures else {"ok": True}
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
 
@@ -219,7 +224,7 @@ class Runner:
             "converged": fp.converged,
         }
         _write_json(self.out / "fixed_point.json", record)
-        return {"ok": fp.converged}
+        return _status([fp.reason] if fp.reason else [])
 
     def stage_amp_check(self) -> dict:
         cfg = self.cfg
@@ -240,7 +245,9 @@ class Runner:
             "se_report": se,
         }
         _write_json(self.out / "amp_check.json", record)
-        return {"ok": bool(err_theta <= 1e-8 and err_eta <= 1e-8)}
+        errors = {"equiv_error_theta": err_theta, "equiv_error_eta": err_eta}
+        return _status([f"{name} = {err:.6g} exceeds 1e-08"
+                        for name, err in errors.items() if not err <= 1e-8])
 
     def stage_compare(self) -> dict:
         cfg = self.cfg
@@ -259,12 +266,15 @@ class Runner:
             "w2_tol": cfg.w2_tol,
             "cov_tol": cfg.cov_tol,
         }
-        ok = bool(
-            rep.w2_theta.max() <= cfg.w2_tol
-            and rep.w2_eta.max() <= cfg.w2_tol
-            and rep.cov_disc_theta <= cfg.cov_tol
-        )
-        record["ok"] = ok
+        failures = []
+        for name, w2 in (("w2_theta", rep.w2_theta), ("w2_eta", rep.w2_eta)):
+            if not w2.max() <= cfg.w2_tol:
+                failures.append(f"{name} = {w2.max():.6g} at t = {np.argmax(w2)} "
+                                f"exceeds w2_tol = {cfg.w2_tol:g}")
+        if not rep.cov_disc_theta <= cfg.cov_tol:
+            failures.append(f"cov_disc_theta = {rep.cov_disc_theta:.6g} "
+                            f"exceeds cov_tol = {cfg.cov_tol:g}")
+        record["ok"] = not failures
         _write_json(self.out / "comparison.json", record)
         with open(self.out / "comparison.csv", "w") as fh:
             fh.write("t,w2_theta,w2_eta,overlap_emp,overlap_dmft\n")
@@ -272,7 +282,7 @@ class Runner:
                 fh.write(f"{t}," + ",".join(FLOAT_FMT % v for v in (
                     rep.w2_theta[t], rep.w2_eta[t],
                     rep.overlap_emp[t], rep.overlap_dmft[t])) + "\n")
-        return {"ok": ok}
+        return _status(failures)
 
     STAGES = {
         "spectral": stage_spectral,

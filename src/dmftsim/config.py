@@ -34,7 +34,7 @@ class ExperimentConfig:
     n: int
     d: int
     seed: int
-    delta: float
+    delta: float                   # n / d
     link: LinkFunction
     noise: ScalarDist
     signal: ScalarDist
@@ -60,7 +60,7 @@ class ExperimentConfig:
 # every key load_config reads, with the value used when it is absent (None:
 # no default); a section or key not listed here is refused
 _FIELDS = {
-    "model": {"n": None, "d": None, "delta": None, "link": None,
+    "model": {"n": None, "d": None, "link": None,
               "noise": None, "noise_sigma": "1.0", "noise_value": "0.0",
               "signal": "gaussian", "seed": "0"},
     "loss": {"name": None, "l_cut": None, "u_cut": None, "scale": "1.0",
@@ -122,12 +122,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     d = _get(cp, "model", "d", int, required=True)
     if n < 2 or d < 2:
         raise ConfigError("field model.n/model.d: need n, d >= 2")
-    delta = _get(cp, "model", "delta", float)
-    if delta is None:
-        delta = n / d
-    elif abs(delta - n / d) > 1e-12:
-        raise ConfigError(
-            f"field model.delta: declared {delta} but n/d = {n / d}")
 
     link = _build({"name": "model.link"}, get_link,
                   _get(cp, "model", "link", str, required=True))
@@ -208,7 +202,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"spectral, got {init!r}")
 
     return ExperimentConfig(
-        n=n, d=d, seed=_get(cp, "model", "seed", int), delta=delta,
+        n=n, d=d, seed=_get(cp, "model", "seed", int), delta=n / d,
         link=link, noise=noise, signal=signal, loss=loss, pre=pre,
         gd=gd, init=init, quadrature=quadrature, monte_carlo=monte_carlo,
         solver=solver, fp_warm_start=warm_start,

@@ -64,8 +64,12 @@ class FixedPointState:
     theta_star: Array = field(default=None, repr=False)
     u_inf: Array = field(default=None, repr=False)
     iterations: int = 0
-    converged: bool = True
+    reason: str = ""            # why the iteration did not converge, else ""
     residual_trace: list = field(default_factory=list, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return not self.reason
 
 
 class NoRootError(RuntimeError):
@@ -84,16 +88,16 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
 
     Newton from eta = w_inf with bisection fallback on the bracket
     [w_inf - R B, w_inf + R B].  Each Newton step makes one fused
-    evaluation (``loss.evaluator``) over the whole pool and moves only the
-    samples whose residual still exceeds the tolerance; a sample that met
-    it keeps its eta, so its residual is recomputed from the same bits.  A
-    root is stable when F' = 1 + R d1ell > 0 there; a Newton root that is
-    not goes to the fallback too, which takes the upward crossing of F
-    nearest to w_inf.  When the sign pattern on the bracket shows several
-    crossings a warning is issued.  One evaluation at the Newton roots
-    serves the residual check, the stability test and the returned values;
-    only the samples a fallback moves are evaluated again.  ``pool_eval``
-    is ``loss.evaluator(w_star, z)`` when a caller already holds it.
+    evaluation (``loss.evaluator``, d2ell included) over the whole pool and
+    moves only the samples whose residual still exceeds the tolerance; a
+    sample that met it keeps its eta, so its residual is recomputed from the
+    same bits.  A root is stable when F' = 1 + R d1ell > 0 there; a Newton
+    root that is not goes to the fallback too, which takes the upward
+    crossing of F nearest to w_inf.  When the sign pattern on the bracket
+    shows several crossings a warning is issued.  The evaluation at which
+    Newton stops serves the residual check, the stability test and the
+    returned values; only the samples a fallback moves are evaluated again.
+    ``pool_eval`` is ``loss.evaluator(w_star, z)`` when a caller holds it.
     """
     w_inf = np.asarray(w_inf, dtype=float)
     w_star = np.asarray(w_star, dtype=float)
@@ -104,7 +108,7 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
         return (eta, *ev(eta, d2=True))
 
     for _ in range(25):
-        ell, d1, _ = ev(eta)
+        ell, d1, d2 = ev(eta, d2=True)
         f = eta + R * ell - w_inf
         todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
         if not np.any(todo):
@@ -112,7 +116,8 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
         fp = 1.0 + R * d1
         safe = np.abs(fp) >= 1e-3
         np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
-    ell, d1, d2 = ev(eta, d2=True)
+    else:
+        ell, d1, d2 = ev(eta, d2=True)
 
     half = abs(R) * loss.ell_bound if loss.ell_bound is not None else None
 
@@ -360,28 +365,23 @@ def iterate_fixed_point(
         C[1, 1] = 1.0
         R_theta = R_theta_new
         if change < cfg.tol:
+            reason = ""
             break
     else:
         last = trace[-1] if trace else float("inf")
-        warnings.warn(
-            f"fixed-point iteration did not converge in {cfg.max_outer} "
-            f"outer steps; last parameter change {last:.3e}",
-            RuntimeWarning)
+        reason = (f"fixed-point iteration did not converge in {cfg.max_outer} "
+                  f"outer steps; last parameter change {last:.3e}")
+        warnings.warn(reason, RuntimeWarning)
 
-    converged = bool(trace and trace[-1] < cfg.tol)
     if n_projected:
         warnings.warn(
             f"R_theta equation lacked a pole-free root on {n_projected} of "
             f"{it} outer steps; the pool sat outside the branch where the "
             "stationary system is defined (warm-start closer, e.g. from a "
             "longer DMFT tail)", RuntimeWarning)
-    if last_projected == it:
-        converged = False  # the returned R is a projection, not a root
-    if len(trace) >= 6 and converged:
-        tail = trace[-5:]
-        if any(tail[i + 1] > tail[i] * (1 + 1e-9) for i in range(4)):
-            warnings.warn("residual norm not monotone over the last 5 "
-                          "iterations at convergence", RuntimeWarning)
+    if not reason and last_projected == it:
+        reason = (f"the last outer step ({it}) projected R_theta to "
+                  f"{R_theta:.4g} below the pole; it is not a root")
 
     state = FixedPointState(
         R_theta_inf=float(R_theta),
@@ -398,7 +398,7 @@ def iterate_fixed_point(
         theta_star=theta_star,
         u_inf=u_inf,
         iterations=it,
-        converged=converged,
+        reason=reason,
         residual_trace=trace,
     )
     return state

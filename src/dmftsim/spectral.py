@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
-from .gd import EXACT_EIG_MAX_DIM, GdConfig, Trajectory, run_gd
+from .gd import GdConfig, Trajectory, run_gd
 from .model import LinkFunction, LossModel, ModelInstance, PreProcess, ScalarDist
 
 Array = np.ndarray
@@ -111,17 +110,13 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
 
 
 def top_two_eigs(M: Array) -> tuple[float, float, Array]:
-    """Two largest eigenvalues and the leading eigenvector of symmetric M:
-    dense LAPACK up to EXACT_EIG_MAX_DIM, implicitly restarted Lanczos
-    (ARPACK) above it, from a fixed start vector so reruns are bitwise equal."""
+    """Two largest eigenvalues and the leading eigenvector of symmetric M,
+    by implicitly restarted Lanczos (ARPACK) at every d, from a fixed start
+    vector so reruns are bitwise equal."""
+    # imported here: the import adds about 35 ms and 2.5 MB to every start-up
+    from scipy.sparse.linalg import eigsh
     d = M.shape[0]
-    if d <= EXACT_EIG_MAX_DIM:
-        vals, vecs = scipy.linalg.eigh(M, subset_by_index=[d - 2, d - 1])
-    else:
-        # imported here: only d > EXACT_EIG_MAX_DIM needs it, and the import
-        # adds about 40 ms to every start-up
-        from scipy.sparse.linalg import eigsh
-        vals, vecs = eigsh(M, k=2, which="LA", v0=np.ones(d) / np.sqrt(d))
+    vals, vecs = eigsh(M, k=2, which="LA", v0=np.ones(d) / np.sqrt(d))
     return float(vals[1]), float(vals[0]), vecs[:, 1]
 
 

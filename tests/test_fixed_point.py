@@ -317,6 +317,53 @@ def test_names_read_and_patched_by_the_benchmark_tracer(monkeypatch):
                      "solve_R_theta": st.iterations}
 
 
+def test_unconverged_iteration_states_its_reason():
+    cfg = SolverConfig(K=2000, damping=0.5, tol=1e-8, max_outer=2, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        st = iterate_fixed_point(RWF, point_mass_dist(0.0), 10.0, 0.0, cfg,
+                                 init=pr_warm_init())
+    assert not st.converged
+    assert st.reason == ("fixed-point iteration did not converge in 2 outer "
+                         "steps; last parameter change "
+                         f"{st.residual_trace[-1]:.3e}")
+    assert st.reason in [str(w.message) for w in caught]
+
+
+def test_eta_pool_is_evaluated_once_per_newton_iterate(monkeypatch):
+    # every pool evaluation carries d2ell, and the one at which Newton stops
+    # is at the returned roots, so no evaluation repeats the one before it
+    calls = []
+    evaluator = LossModel.evaluator
+
+    def recording(self, b, c):
+        ev = evaluator(self, b, c)
+
+        def rec(a, idx=None, d2=False):
+            if idx is None:
+                calls.append((np.array(a, copy=True), d2))
+            return ev(a, idx, d2=d2)
+        return rec
+    monkeypatch.setattr(LossModel, "evaluator", recording)
+    runs = [
+        (RWF, point_mass_dist(0.0), 10.0, 0.0, pr_warm_init()),
+        (make_loss("linear-pseudo-huber", scale=1.0), gaussian_dist(0.3),
+         2.0, 0.5, None),
+    ]
+    for loss, noise, delta, lam, init in runs:
+        calls.clear()
+        cfg = SolverConfig(K=5000, damping=0.5, tol=1e-8, max_outer=40, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            st = iterate_fixed_point(loss, noise, delta, lam, cfg, init=init)
+        assert st.iterations > 2
+        assert all(d2 for _, d2 in calls)
+        assert not any(np.array_equal(a, b)
+                       for (a, _), (b, _) in zip(calls, calls[1:]))
+        # Newton stops after at least one step on every outer step
+        assert 2 * st.iterations <= len(calls) < 25 * st.iterations
+
+
 # ---------------------------------------------------------------------------
 # ridge regression: closed form + high-dimensional simulation oracle
 # ---------------------------------------------------------------------------

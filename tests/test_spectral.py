@@ -185,19 +185,26 @@ def test_spectral_estimator_eigen_residual():
     assert resid <= 1e-8 * res.lam1_emp
 
 
-def test_top_two_eigs_lanczos_path_matches_dense(monkeypatch):
-    inst = make_instance(600, 150, 1, abs_link(), point_mass_dist(0.0),
-                         gaussian_dist())
-    M = build_Mn(inst, PRE3)
-    vals, vecs = scipy.linalg.eigh(M)
-    monkeypatch.setattr(spectral, "EXACT_EIG_MAX_DIM", 16)
-    lam1, lam2, v = spectral.top_two_eigs(M)
-    assert abs(lam1 - vals[-1]) <= 1e-10 * abs(vals[-1])
-    assert abs(lam2 - vals[-2]) <= 1e-10 * abs(vals[-2])
-    assert abs(v @ vecs[:, -1]) >= 1 - 1e-10
-    again = spectral.top_two_eigs(M)
-    assert again[0] == lam1 and again[1] == lam2
-    assert np.array_equal(again[2], v)
+def test_top_two_eigs_lanczos_path_matches_dense():
+    # against a dense LAPACK reference; the linear-link phase-clip M_n has a
+    # top gap of only 1.5 % of lam1
+    cases = [
+        (make_instance(600, 150, 1, abs_link(), point_mass_dist(0.0),
+                       gaussian_dist()), PRE3, 1.0),
+        (make_instance(400, 200, 2, linear_link(), gaussian_dist(0.3),
+                       gaussian_dist()), phase_preprocess(2.0), 0.02),
+    ]
+    for inst, pre, max_gap in cases:
+        M = build_Mn(inst, pre)
+        vals, vecs = scipy.linalg.eigh(M)
+        assert vals[-1] - vals[-2] < max_gap * vals[-1]
+        lam1, lam2, v = spectral.top_two_eigs(M)
+        assert abs(lam1 - vals[-1]) <= 1e-12 * abs(vals[-1])
+        assert abs(lam2 - vals[-2]) <= 1e-12 * abs(vals[-2])
+        assert abs(v @ vecs[:, -1]) >= 1 - 1e-12
+        again = spectral.top_two_eigs(M)
+        assert again[0] == lam1 and again[1] == lam2
+        assert np.array_equal(again[2], v)
 
 
 def test_spectral_estimator_zero_matrix_rejected():
