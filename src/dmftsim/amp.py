@@ -14,9 +14,10 @@ algebraically for any table used consistently on both sides.
 Only first columns are computed.  The second column of f_i is zero, so the
 second column of a^{i+1} is zero and its first needs one matrix-vector
 product X^T ell_i; the second column of g_i is theta*, so the second column
-of every b^i is X theta*, computed once, and its first needs one product
-X theta^i.  The Onsager sums over j <= i are products of the stacked
-histories theta^0..theta^i and ell_0..ell_i with a column of the table.
+of every b^i is X theta*, the instance's ``eta_star``, and its first needs
+one product X theta^i.  Both products run as two-way splits (``halves``).
+The Onsager sums over j <= i are products of the stacked histories
+theta^0..theta^i and ell_0..ell_i with a column of the table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .dmft import DmftLaw, DmftState, fmean
 from .gd import Trajectory
+from .halves import matvec, rmatvec
 from .model import LossModel, ModelInstance, PreProcess
 from .spectral import LambdaStarSolution
 
@@ -149,9 +151,9 @@ def run_spectral_amp(
 
     Zs = np.asarray(pre.Ts(inst.y), dtype=float)
     Ty = Zs / (lam_star - Zs)
-    Xtheta0 = X @ theta0
+    Xtheta0 = matvec(X, theta0)
     extra = Zs * Xtheta0 / lam_star      # first column of the zeta_{i,-1} term
-    b_star = X @ inst.theta_star
+    b_star = inst.eta_star
     theta_star = inst.theta_star
 
     b0 = Xtheta0 - extra
@@ -172,7 +174,7 @@ def run_spectral_amp(
         thetas, ell_hist = theta_rec[:i + 1], ells[:i + 1]
         # a^{i+1} from f_i and the xi corrections over g_0..g_i
         a_next = np.zeros((d, 2))
-        a_next[:, 0] = (-(X.T @ ells[i]) / delta
+        a_next[:, 0] = (-rmatvec(X, ells[i]) / delta
                         + xi[i, :i + 1, 0, 0] @ thetas
                         + xi[i, :i + 1, 1, 0].sum() * theta_star)
         a_iters.append(a_next)
@@ -187,7 +189,7 @@ def run_spectral_amp(
 
         # b^{i+1} and the reconstruction of X theta^{i+1}; the second column
         # of b^{i+1} is X theta* because g_{i+1} = (theta^{i+1}, theta*)
-        b_next = (X @ theta_rec[i + 1] - extra * zeta[i + 1, 0, 0, 0]
+        b_next = (matvec(X, theta_rec[i + 1]) - extra * zeta[i + 1, 0, 0, 0]
                   + (zeta[i + 1, 1:i + 2, 0, 0] @ ell_hist) / delta)
         b_iters.append(np.column_stack([b_next, b_star]))
         eta_rec[i + 1] = (b_next + Ty * b0 * rzeta[i + 1, 0, 0, 0]

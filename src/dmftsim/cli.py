@@ -224,6 +224,13 @@ class Runner:
             "converged": fp.converged,
         }
         _write_json(self.out / "fixed_point.json", record)
+        # one row per outer step from the second on: its length follows the
+        # step count, so it has its own file and fixed_point.json keeps a
+        # fixed set of scalars
+        with open(self.out / "fixed_point_trace.csv", "w") as fh:
+            fh.write("outer_step,max_param_change\n")
+            for step, change in enumerate(fp.residual_trace, start=2):
+                fh.write(f"{step}," + FLOAT_FMT % change + "\n")
         return _status([fp.reason] if fp.reason else [])
 
     def stage_amp_check(self) -> dict:

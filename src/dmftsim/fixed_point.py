@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import halves
 from .dmft import fmean
 from .model import LossModel, ScalarDist, gaussian_dist
 
@@ -65,6 +66,7 @@ class FixedPointState:
     u_inf: Array = field(default=None, repr=False)
     iterations: int = 0
     reason: str = ""            # why the iteration did not converge, else ""
+    # largest parameter change at outer steps 2, 3, ...
     residual_trace: list = field(default_factory=list, repr=False)
 
     @property
@@ -87,16 +89,19 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
     sample, and ell, d1ell and d2ell at them.
 
     Newton from eta = w_inf with bisection fallback on the bracket
-    [w_inf - R B, w_inf + R B].  Each Newton step makes one fused
-    evaluation (``loss.evaluator``, d2ell included) over the whole pool and
-    moves only the samples whose residual still exceeds the tolerance; a
-    sample that met it keeps its eta, so its residual is recomputed from the
-    same bits.  A root is stable when F' = 1 + R d1ell > 0 there; a Newton
-    root that is not goes to the fallback too, which takes the upward
-    crossing of F nearest to w_inf.  When the sign pattern on the bracket
-    shows several crossings a warning is issued.  The evaluation at which
-    Newton stops serves the residual check, the stability test and the
-    returned values; only the samples a fallback moves are evaluated again.
+    [w_inf - R B, w_inf + R B].  Newton runs on the two halves of the pool
+    at once (``halves.on_halves``), each on its own until its samples are
+    done.  Each Newton step makes one fused evaluation (``loss.evaluator``,
+    d2ell included) over its half and moves only the samples whose residual
+    still exceeds the tolerance; a sample that met it keeps its eta, so its
+    residual is recomputed from the same bits, and the roots are those of
+    Newton over the whole pool.  The fallbacks run on the caller.  A root
+    is stable when F' = 1 + R d1ell > 0 there; a Newton root that is not
+    goes to the fallback too, which takes the upward crossing of F nearest
+    to w_inf.  When the sign pattern on the bracket shows several crossings
+    a warning is issued.  The evaluation at which Newton stops serves the
+    residual check, the stability test and the returned values; only the
+    samples a fallback moves are evaluated again.
     ``pool_eval`` is ``loss.evaluator(w_star, z)`` when a caller holds it.
     """
     w_inf = np.asarray(w_inf, dtype=float)
@@ -106,18 +111,27 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
     eta = w_inf.copy()
     if R == 0.0:
         return (eta, *ev(eta, d2=True))
+    K = eta.size
+    ell, d1, d2 = np.empty(K), np.empty(K), np.empty(K)
 
-    for _ in range(25):
-        ell, d1, d2 = ev(eta, d2=True)
-        f = eta + R * ell - w_inf
-        todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
-        if not np.any(todo):
-            break
-        fp = 1.0 + R * d1
-        safe = np.abs(fp) >= 1e-3
-        np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
-    else:
-        ell, d1, d2 = ev(eta, d2=True)
+    def newton(lo, hi):
+        # the Newton loop on eta[lo:hi]; ell, d1, d2 at its last iterate
+        idx = slice(lo, hi)
+        e, w = eta[idx], w_inf[idx]
+        for _ in range(25):
+            el, g1, g2 = ev(e, idx, d2=True)
+            f = e + R * el - w
+            todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
+            if not np.any(todo):
+                break
+            fp = 1.0 + R * g1
+            safe = np.abs(fp) >= 1e-3
+            np.copyto(e, e - f / np.where(safe, fp, 1.0), where=todo & safe)
+        else:
+            el, g1, g2 = ev(e, idx, d2=True)
+        ell[idx], d1[idx], d2[idx] = el, g1, g2
+
+    halves.on_halves(newton, K)
 
     half = abs(R) * loss.ell_bound if loss.ell_bound is not None else None
 

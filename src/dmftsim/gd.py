@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
+from .halves import matvec, rmatvec
 from .model import LossModel, ModelInstance
 
 Array = np.ndarray
@@ -59,22 +60,22 @@ class HessianReport:
 
 def run_gd(inst: ModelInstance, loss: LossModel, cfg: GdConfig, theta0: Array) -> Trajectory:
     """Iterate theta^{t+1} = theta^t - gamma X^T ell(X theta^t, X theta*, z)
-    - gamma lambda theta^t.  Aborts on the first NaN/Inf iterate."""
+    - gamma lambda theta^t.  Aborts on the first NaN/Inf iterate.  The
+    products with X and X^T run as two-way splits (``halves``)."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (inst.d,):
         raise ValueError(f"theta0 must have shape ({inst.d},), got {theta0.shape}")
     X = inst.X
-    eta_star = X @ inst.theta_star
+    eta_star = inst.eta_star
     thetas = np.empty((cfg.m + 1, inst.d))
     etas = np.empty((cfg.m + 1, inst.n))
     theta = theta0.copy()
     thetas[0] = theta
     for t in range(cfg.m + 1):
-        eta = X @ theta
-        etas[t] = eta
+        eta = matvec(X, theta, out=etas[t])
         if t == cfg.m:
             break
-        grad = X.T @ np.asarray(loss.ell(eta, eta_star, inst.z), dtype=float)
+        grad = rmatvec(X, np.asarray(loss.ell(eta, eta_star, inst.z), dtype=float))
         theta = theta - cfg.gamma * grad - cfg.gamma * cfg.lambda_ridge * theta
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"non-finite iterate at t={t + 1}")
@@ -99,8 +100,7 @@ def hessian_extremes(
     if inst.d > EXACT_EIG_MAX_DIM:
         raise ValueError(f"exact Hessian eigensolve limited to d <= {EXACT_EIG_MAX_DIM}")
     eta = inst.X @ np.asarray(theta, dtype=float)
-    eta_star = inst.X @ inst.theta_star
-    dvals = np.asarray(loss.d1ell(eta, eta_star, inst.z), dtype=float)
+    dvals = np.asarray(loss.d1ell(eta, inst.eta_star, inst.z), dtype=float)
     H = inst.X.T @ (dvals[:, None] * inst.X)
     H = 0.5 * (H + H.T)
     H[np.diag_indices_from(H)] += lambda_ridge

@@ -415,6 +415,7 @@ class ModelInstance:
     delta: float
     X: Array
     theta_star: Array
+    eta_star: Array     # X theta*, computed once for every reader
     z: Array
     y: Array
     link: LinkFunction
@@ -441,10 +442,11 @@ def make_instance(
         raise ValueError("signal distribution produced a zero-norm vector")
     theta_star = theta_raw * (np.sqrt(d) / norm)
     z = np.asarray(noise.sample(rng, n), dtype=float)
-    y = np.asarray(link.eval(X @ theta_star, z), dtype=float)
+    eta_star = X @ theta_star
+    y = np.asarray(link.eval(eta_star, z), dtype=float)
     return ModelInstance(
-        n=n, d=d, delta=n / d, X=X, theta_star=theta_star, z=z, y=y,
-        link=link, seed=seed,
+        n=n, d=d, delta=n / d, X=X, theta_star=theta_star, eta_star=eta_star,
+        z=z, y=y, link=link, seed=seed,
     )
 
 

@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
+from . import halves
 from .gd import GdConfig, Trajectory, run_gd
 from .model import LinkFunction, LossModel, ModelInstance, PreProcess, ScalarDist
 
@@ -20,6 +21,7 @@ ADMISSIBILITY_FLOOR = 1e3
 POLE_GUARD = 1e-9
 MN_ROW_BLOCK = 2048   # rows of X weighted and accumulated per syrk call
 MN_MIRROR_BLOCK = 256  # columns of M_n mirrored per step
+MN_SPLIT_ROWS = 32     # row blocks whose length is a multiple of this are split
 
 
 class WeakRecoveryError(RuntimeError):
@@ -79,12 +81,18 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
 
     Row blocks of sqrt(Ts(y)) X (MN_ROW_BLOCK rows, one reused buffer) are
     accumulated by BLAS syrk into the lower triangle of one Fortran-ordered
-    matrix.  The buffer is freed, and the lower triangle is mirrored into
-    the upper one in place, MN_MIRROR_BLOCK columns at a time, so no d x d
-    temporary is made.  The upper triangle is exactly zero before the
-    mirror, so each of its entries becomes 0 + x, as a full-matrix mirror
-    gives.  No weighted copy of X is made, and the flops are half those of a
-    full product.  The square root needs Ts >= 0, the contract of
+    matrix.  From d >= halves.MIN_SPLIT on, a block of a multiple of
+    MN_SPLIT_ROWS rows goes to ``halves.syrk_lower`` (two syrk triangles on
+    the caller, the gemm block between them on the worker), with the bits
+    of one syrk call.  Only for such blocks does OpenBLAS cut the rows into
+    the same inner panels in syrk and gemm: it halves the last two panels,
+    and gemm rounds the halves up to its unroll.  Other blocks (a tail of
+    n) take one syrk call.  The buffer is freed, and the lower triangle is
+    mirrored into the upper one in place, MN_MIRROR_BLOCK columns at a
+    time, so no d x d temporary is made.  The upper triangle is exactly
+    zero before the mirror, so each of its entries becomes 0 + x, as a
+    full-matrix mirror gives.  No weighted copy of X is made, and the flops
+    are half those of a full product.  The square root needs Ts >= 0, the contract of
     PreProcess, so negative weights are refused."""
     X = inst.X
     n, d = X.shape
@@ -99,8 +107,11 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
     for start in range(0, n, MN_ROW_BLOCK):
         stop = min(start + MN_ROW_BLOCK, n)
         B = np.multiply(sw[start:stop, None], X[start:stop], out=buf[:stop - start])
-        # B.T is Fortran-contiguous (d x rows), so trans=0 passes it uncopied
-        C = dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
+        # B.T is Fortran-contiguous (d x rows), so it is passed uncopied
+        if d >= halves.MIN_SPLIT and (stop - start) % MN_SPLIT_ROWS == 0:
+            halves.syrk_lower(B.T, C)
+        else:
+            C = dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
     buf = B = None   # free the row block before the mirror
     for j0 in range(0, d, MN_MIRROR_BLOCK):
         j1 = min(j0 + MN_MIRROR_BLOCK, d)
@@ -112,11 +123,15 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
 def top_two_eigs(M: Array) -> tuple[float, float, Array]:
     """Two largest eigenvalues and the leading eigenvector of symmetric M,
     by implicitly restarted Lanczos (ARPACK) at every d, from a fixed start
-    vector so reruns are bitwise equal."""
+    vector so reruns are bitwise equal.  From d >= halves.MIN_SPLIT on, the
+    products with M are split by rows (``halves.matvec``), with the bits of
+    ``M @ v``; below it eigsh takes M itself, which it needs at d <= 3."""
     # imported here: the import adds about 35 ms and 2.5 MB to every start-up
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import LinearOperator, eigsh
     d = M.shape[0]
-    vals, vecs = eigsh(M, k=2, which="LA", v0=np.ones(d) / np.sqrt(d))
+    A = M if d < halves.MIN_SPLIT else LinearOperator(
+        M.shape, matvec=lambda v: halves.matvec(M, v), dtype=M.dtype)
+    vals, vecs = eigsh(A, k=2, which="LA", v0=np.ones(d) / np.sqrt(d))
     return float(vals[1]), float(vals[0]), vecs[:, 1]
 
 
@@ -159,9 +174,10 @@ class EtaIntegrals:
     Precomputes Z_s = Ts(phi(G, z)) and the lambda-independent products
     ``wZ = weights * Z_s`` and ``wZG2 = weights * Z_s * G^2`` on the product
     grid.  Each lambda-evaluation divides one of them by lam - Z_s (or its
-    square) in a reused buffer and sums in a fixed order; Python multiplies
-    left to right, so the values are bitwise those of the weighted sums
-    written out in full, e.g. ``sum(weights * Z_s * G^2 / (lam - Z_s))``.
+    square) in a reused buffer, elementwise in two halves (``halves``), and
+    sums the whole buffer in a fixed order; Python multiplies left to right,
+    so the values are bitwise those of the weighted sums written out in
+    full, e.g. ``sum(weights * Z_s * G^2 / (lam - Z_s))``.
     """
 
     def __init__(self, pre: PreProcess, link: LinkFunction, noise: ScalarDist,
@@ -190,10 +206,15 @@ class EtaIntegrals:
         if lam <= self.tau * (1.0 + POLE_GUARD):
             raise ValueError(
                 f"lambda={lam!r} too close to the pole at tau={self.tau!r}")
-        buf = np.subtract(lam, self.Zs, out=self._buf)
-        if power == 2:
-            np.square(buf, out=buf)
-        return float(np.sum(np.divide(num, buf, out=buf)))
+        buf = self._buf
+
+        def part(lo, hi):
+            b = np.subtract(lam, self.Zs[lo:hi], out=buf[lo:hi])
+            if power == 2:
+                np.square(b, out=b)
+            np.divide(num[lo:hi], b, out=b)
+        halves.on_halves(part, buf.size)
+        return float(np.sum(buf))
 
     def e_frac(self, lam: float) -> float:
         """E[Z_s / (lam - Z_s)]."""

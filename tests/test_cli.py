@@ -205,6 +205,13 @@ def test_fixed_point_stage(tmp_path):
                            "residuals", "iterations"}
     assert record["converged"]
     assert code == 0
+    # the residual trace: one row per outer step from the second on
+    rows = (tmp_path / "out" / "fixed_point_trace.csv").read_text().splitlines()
+    assert rows[0] == "outer_step,max_param_change"
+    steps = [int(r.split(",")[0]) for r in rows[1:]]
+    changes = [float(r.split(",")[1]) for r in rows[1:]]
+    assert steps == list(range(2, record["iterations"] + 1))
+    assert changes[-1] < 1e-8 <= changes[0]
 
 
 def test_fixed_point_stage_reports_off_branch_failure(tmp_path):
@@ -476,4 +483,56 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_sees_only_the_main_thread(tmp_path):
+    # the split kernels' workers must not call a name bench/tracer.py wraps:
+    # its span stack is shared by all threads.  Every traced call asserts
+    # that it runs on the main thread, through pipelines of both shipped
+    # configs at sizes where every split site splits (n, d, K and the
+    # lambda* grid at least halves.MIN_SPLIT).
+    root = Path(__file__).resolve().parents[1]
+    sizes = {"model": {"n": "2100", "d": "1100"}, "algo": {"m": "3"},
+             "spectral": {"gh_nodes": "32", "z_samples": "2000"},
+             "dmft": {"k": "2000"}, "fixedpoint": {"k": "3000", "max_outer": "20"},
+             "compare": {"w2_tol": "1.0", "cov_tol": "1.0"}}
+    configs = []
+    for name in ("phase_retrieval.ini", "linear_pseudo_huber.ini"):
+        cp = configparser.ConfigParser()
+        cp.read(root / "configs" / name)
+        for section, values in sizes.items():
+            cp[section].update(values)
+        configs.append(tmp_path / name)
+        with open(configs[-1], "w") as fh:
+            cp.write(fh)
+    code = """
+import pathlib, sys, threading, warnings
+sys.path.insert(0, 'bench')
+import tracer
+from dmftsim import cli
+wrap = tracer.Tracer.wrap
+
+def main_thread_only(self, name, fn, on_return=None):
+    traced = wrap(self, name, fn, on_return)
+    def guarded(*args, **kwargs):
+        assert threading.current_thread() is threading.main_thread(), name
+        return traced(*args, **kwargs)
+    return guarded
+
+tracer.Tracer.wrap = main_thread_only
+t = tracer.Tracer('t')
+tracer.install(t, cli)
+warnings.simplefilter('ignore')
+for path in sys.argv[1:]:
+    cli.run_pipeline(cli.load_config(path), pathlib.Path(path + '.out'))
+names = {s[0] for s in t.spans}
+assert {'spectral.build_Mn', 'gd.run_gd', 'amp.run_spectral_amp',
+        'fixed_point._solve_eta_pool', 'spectral.quad_eval'} <= names, names
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, configs)],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr

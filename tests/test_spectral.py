@@ -63,8 +63,8 @@ def test_build_mn_matches_naive_sum():
 def test_build_mn_single_row_rank_one():
     base = small_instance()
     inst = ModelInstance(n=1, d=3, delta=1 / 3, X=base.X[:1],
-                         theta_star=base.theta_star, z=base.z[:1],
-                         y=base.y[:1], link=base.link, seed=0)
+                         theta_star=base.theta_star, eta_star=base.eta_star[:1],
+                         z=base.z[:1], y=base.y[:1], link=base.link, seed=0)
     M = build_Mn(inst, PRE3)
     w = float(PRE3.Ts(inst.y)[0])
     assert np.linalg.matrix_rank(M, tol=1e-12) <= 1
@@ -161,9 +161,10 @@ def planted_instance():
     theta_star = np.array([np.sqrt(3.0), 0.0, 0.0])
     link = abs_link()
     z = np.zeros(3)
-    y = link.eval(X @ theta_star, z)
+    eta_star = X @ theta_star
+    y = link.eval(eta_star, z)
     return ModelInstance(n=3, d=3, delta=1.0, X=X, theta_star=theta_star,
-                         z=z, y=y, link=link, seed=0)
+                         eta_star=eta_star, z=z, y=y, link=link, seed=0)
 
 
 def test_spectral_estimator_planted_direction():
