@@ -24,9 +24,15 @@ Array = np.ndarray
 MIN_SPLIT = 1024   # extents below this run serially on the caller
 # split points are multiples of ALIGN: the rows of both halves start on a
 # cache line, and the triangles of a split syrk keep the bits of one syrk
-# call (measured with OpenBLAS 0.3.31: h = 512 or 1024 broke them at some
-# d in 1025..3001, multiples of 192 did not)
+# call.  This was measured, not derived, with OpenBLAS 0.3.31 on one x86-64
+# core type (h = 512 or 1024 broke them at some d in 1025..3001, multiples
+# of 192 did not); tests/split_blas_cases.py guards it on the BLAS at hand.
 ALIGN = 192
+# syrk_lower splits only an inner dimension k that is a multiple of
+# SYRK_ROWS: only then does OpenBLAS 0.3.31 cut k into the same panels in
+# syrk and gemm (it halves the last two panels in syrk and rounds the halves
+# up to its unroll in gemm).  Measured like ALIGN and guarded by the same file.
+SYRK_ROWS = 32
 
 _lock = threading.Lock()
 _pool = None       # (pid, executor): a worker is never reused across a fork
@@ -119,14 +125,14 @@ def _blas(name: str):
 def syrk_lower(A: Array, C: Array) -> None:
     """C += A A^T on the lower triangle of C, in place.
 
-    A is d x k and C is d x d, both Fortran-ordered float64.  With h =
-    split_point(d), the caller runs BLAS syrk on the diagonal triangles
-    [0, h) and [h, d) and the worker runs gemm (beta = 1) on the block
-    C[h:, :h]; all three write into C through its leading dimension, so
-    no d x d temporary is made.  The entries are bitwise those of one syrk
-    over the whole triangle when OpenBLAS cuts k into the same inner panels
-    in syrk and gemm, as it does for k a multiple of 32 (see
-    ``spectral.build_Mn``)."""
+    A is d x k and C is d x d, both Fortran-ordered float64.  When k is a
+    multiple of SYRK_ROWS, with h = split_point(d), the caller runs BLAS
+    syrk on the diagonal triangles [0, h) and [h, d) and the worker runs
+    gemm (beta = 1) on the block C[h:, :h]; all three write into C through
+    its leading dimension, so no d x d temporary is made.  Otherwise, and
+    below MIN_SPLIT, it is one syrk call over the whole triangle.  The split
+    keeps the bits of that one call under the conditions measured at ALIGN
+    and SYRK_ROWS."""
     d, k = A.shape
     if not (A.flags.f_contiguous and C.flags.f_contiguous and C.shape == (d, d)
             and A.dtype == C.dtype == np.float64):
@@ -134,7 +140,7 @@ def syrk_lower(A: Array, C: Array) -> None:
     syrk_fn, gemm_fn = _blas("dsyrk"), _blas("dgemm")
     i = ctypes.c_int
     one = ctypes.c_double(1.0)
-    lda = ldc = ctypes.byref(i(d))
+    lda = ldc = ctypes.byref(i(max(d, 1)))
     kk = ctypes.byref(i(k))
     a0, c0, size = A.ctypes.data, C.ctypes.data, A.itemsize
 
@@ -151,4 +157,7 @@ def syrk_lower(A: Array, C: Array) -> None:
             gemm_fn(b"N", b"T", ctypes.byref(i(d - lo)), ctypes.byref(i(lo)), kk,
                     ctypes.byref(one), a0 + lo * size, lda, a0, lda,
                     ctypes.byref(one), c0 + lo * size, ldc)
-    on_halves(part, d)
+    if k % SYRK_ROWS:
+        part(0, d)
+    else:
+        on_halves(part, d)

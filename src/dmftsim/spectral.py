@@ -9,7 +9,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+# not called here: the f2py syrk is the one-call form of build_Mn's
+# accumulation, which tests/test_spectral.py reads as spectral.dsyrk
+from scipy.linalg.blas import dsyrk  # noqa: F401
 
 from . import halves
 from .gd import GdConfig, Trajectory, run_gd
@@ -21,7 +23,6 @@ ADMISSIBILITY_FLOOR = 1e3
 POLE_GUARD = 1e-9
 MN_ROW_BLOCK = 2048   # rows of X weighted and accumulated per syrk call
 MN_MIRROR_BLOCK = 256  # columns of M_n mirrored per step
-MN_SPLIT_ROWS = 32     # row blocks whose length is a multiple of this are split
 
 
 class WeakRecoveryError(RuntimeError):
@@ -80,18 +81,14 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
     """M_n = X^T diag(Ts(y)) X, exactly symmetric.
 
     Row blocks of sqrt(Ts(y)) X (MN_ROW_BLOCK rows, one reused buffer) are
-    accumulated by BLAS syrk into the lower triangle of one Fortran-ordered
-    matrix.  From d >= halves.MIN_SPLIT on, a block of a multiple of
-    MN_SPLIT_ROWS rows goes to ``halves.syrk_lower`` (two syrk triangles on
-    the caller, the gemm block between them on the worker), with the bits
-    of one syrk call.  Only for such blocks does OpenBLAS cut the rows into
-    the same inner panels in syrk and gemm: it halves the last two panels,
-    and gemm rounds the halves up to its unroll.  Other blocks (a tail of
-    n) take one syrk call.  The buffer is freed, and the lower triangle is
-    mirrored into the upper one in place, MN_MIRROR_BLOCK columns at a
-    time, so no d x d temporary is made.  The upper triangle is exactly
-    zero before the mirror, so each of its entries becomes 0 + x, as a
-    full-matrix mirror gives.  No weighted copy of X is made, and the flops
+    accumulated by ``halves.syrk_lower`` into the lower triangle of one
+    Fortran-ordered matrix: BLAS syrk, split in two from d >=
+    halves.MIN_SPLIT on for blocks of a multiple of halves.SYRK_ROWS rows,
+    with the bits of one syrk call.  The buffer is freed, and the lower
+    triangle is mirrored into the upper one in place, MN_MIRROR_BLOCK
+    columns at a time, so no d x d temporary is made.  The upper triangle is
+    exactly zero before the mirror, so each of its entries becomes 0 + x, as
+    a full-matrix mirror gives.  No weighted copy of X is made, and the flops
     are half those of a full product.  The square root needs Ts >= 0, the contract of
     PreProcess, so negative weights are refused."""
     X = inst.X
@@ -108,10 +105,7 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
         stop = min(start + MN_ROW_BLOCK, n)
         B = np.multiply(sw[start:stop, None], X[start:stop], out=buf[:stop - start])
         # B.T is Fortran-contiguous (d x rows), so it is passed uncopied
-        if d >= halves.MIN_SPLIT and (stop - start) % MN_SPLIT_ROWS == 0:
-            halves.syrk_lower(B.T, C)
-        else:
-            C = dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
+        halves.syrk_lower(B.T, C)
     buf = B = None   # free the row block before the mirror
     for j0 in range(0, d, MN_MIRROR_BLOCK):
         j1 = min(j0 + MN_MIRROR_BLOCK, d)
@@ -123,13 +117,13 @@ def build_Mn(inst: ModelInstance, pre: PreProcess) -> Array:
 def top_two_eigs(M: Array) -> tuple[float, float, Array]:
     """Two largest eigenvalues and the leading eigenvector of symmetric M,
     by implicitly restarted Lanczos (ARPACK) at every d, from a fixed start
-    vector so reruns are bitwise equal.  From d >= halves.MIN_SPLIT on, the
-    products with M are split by rows (``halves.matvec``), with the bits of
-    ``M @ v``; below it eigsh takes M itself, which it needs at d <= 3."""
+    vector so reruns are bitwise equal.  The products with M are split by
+    rows (``halves.matvec``), with the bits of ``M @ v``; at d <= 3, where
+    eigsh falls back to a dense solver, it takes M itself."""
     # imported here: the import adds about 35 ms and 2.5 MB to every start-up
     from scipy.sparse.linalg import LinearOperator, eigsh
     d = M.shape[0]
-    A = M if d < halves.MIN_SPLIT else LinearOperator(
+    A = M if d <= 3 else LinearOperator(
         M.shape, matvec=lambda v: halves.matvec(M, v), dtype=M.dtype)
     vals, vecs = eigsh(A, k=2, which="LA", v0=np.ones(d) / np.sqrt(d))
     return float(vals[1]), float(vals[0]), vecs[:, 1]

@@ -94,7 +94,7 @@ def build_Mn_one_syrk(inst, pre):
 @pytest.mark.parametrize("n", [3616, 3048])
 def test_build_mn_equals_one_syrk_per_block(d, n):
     # from d = 1024 on, row blocks of 2048 and 1568 rows are split; the
-    # 1000-row block of n = 3048 is not a multiple of MN_SPLIT_ROWS and
+    # 1000-row block of n = 3048 is not a multiple of halves.SYRK_ROWS and
     # takes one syrk call
     inst = make_instance(n, d, 5, abs_link(), point_mass_dist(0.0), gaussian_dist())
     assert same_bits(build_Mn(inst, PRE3), build_Mn_one_syrk(inst, PRE3))
