@@ -2,9 +2,10 @@
 while the caller runs the other.
 
 The split point depends on the extent alone, never on the core count, and
-every split computes each output element as the unsplit kernel does, so
-with one BLAS thread the results are bitwise those of the serial code on
-any number of cores.  A worker runs only numpy or BLAS on slices (and the
+every split computes each output element as the unsplit kernel does (for
+the syrk split, under the measured conditions noted at ALIGN and
+SYRK_ROWS), so with one BLAS thread the results are bitwise those of the
+serial code on any number of cores.  A worker runs only numpy or BLAS on slices (and the
 fixed point's pool evaluator), which release the interpreter lock, and
 never a function that calls ``on_halves`` itself: the one worker would
 wait on itself.  numpy's ``errstate`` is per thread, so a split function
