@@ -11,13 +11,15 @@ keeps running reconstructions of theta^i and X theta^i instead of
 materializing the recursive closures; the Onsager coefficients cancel
 algebraically for any table used consistently on both sides.
 
-Only first columns are computed.  The second column of f_i is zero, so the
-second column of a^{i+1} is zero and its first needs one matrix-vector
-product X^T ell_i; the second column of g_i is theta*, so the second column
-of every b^i is X theta*, the instance's ``eta_star``, and its first needs
-one product X theta^i.  Both products run as two-way splits (``halves``).
-The Onsager sums over j <= i are products of the stacked histories
-theta^0..theta^i and ell_0..ell_i with a column of the table.
+Only first columns are computed and stored.  The second column of f_i is
+zero, so the second column of a^{i+1} is zero and its first needs one
+matrix-vector product X^T ell_i; the second column of g_i is theta*, so the
+second column of every b^i is X theta*, the instance's ``eta_star``, and its
+first needs one product X theta^i.  Both products run as two-way splits
+(``halves``).  For the same reason a table keeps only the first output
+column of each 2x2 coefficient.  The Onsager sums over j <= i are products
+of the stacked histories theta^0..theta^i and ell_0..ell_i with a column of
+the table.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ class OnsagerTable:
     """Correction matrices xi_{ij} (0 <= j <= i <= m-1) and zeta_{ij}
     (-1 <= j <= i-1, i <= m), stored with the zeta j-index shifted by one.
 
-    Entry convention: M[k, l] = E[d(output_l) / d(input_k)], so the response
-    values live in [0, 0] and the theta*-channel in [1, 0].
+    Each coefficient is the first output column of a 2x2 matrix with entries
+    M[k, l] = E[d(output_l) / d(input_k)]; its second column is zero because
+    f_i has a zero second column and g_i the constant theta*.  Index
+    [..., 0] holds the response channel, [..., 1] the theta* channel.
     """
 
-    xi: Array     # (m, m, 2, 2); xi[i, j] valid for j <= i
-    zeta: Array   # (m+1, m+1, 2, 2); zeta[i, j+1] holds zeta_{i,j}, j <= i-1
+    xi: Array     # (m, m, 2); xi[i, j] valid for j <= i
+    zeta: Array   # (m+1, m+1, 2); zeta[i, j+1] holds zeta_{i,j}, j <= i-1
 
     def __post_init__(self):
         self.validate()
@@ -55,32 +59,22 @@ class OnsagerTable:
         return self.xi.shape[0]
 
     def validate(self) -> None:
-        if self.xi.shape != (self.m, self.m, 2, 2):
-            raise ValueError("xi must be (m, m, 2, 2)")
-        if self.zeta.shape != (self.m + 1, self.m + 1, 2, 2):
-            raise ValueError("zeta must be (m+1, m+1, 2, 2)")
-        if np.any(self.xi[:, :, :, 1] != 0.0):
-            raise ValueError("second column of every xi must be zero (f_2 = 0)")
-        if np.any(self.zeta[:, :, :, 1] != 0.0):
-            raise ValueError("second column of every zeta must be zero "
-                             "(g_2 = theta* carries no u-dependence)")
-        if not np.array_equal(self.zeta[0, 0], np.array([[1.0, 0.0], [0.0, 0.0]])):
-            raise ValueError("zeta_{0,-1} must equal [[1,0],[0,0]]")
+        if self.xi.shape != (self.m, self.m, 2):
+            raise ValueError("xi must be (m, m, 2)")
+        if self.zeta.shape != (self.m + 1, self.m + 1, 2):
+            raise ValueError("zeta must be (m+1, m+1, 2)")
+        if not np.array_equal(self.zeta[0, 0], [1.0, 0.0]):
+            raise ValueError("zeta_{0,-1} must equal [1, 0]")
 
 
 def random_onsager_table(m: int, rng: np.random.Generator) -> OnsagerTable:
-    """iid N(0,1) entries wherever the structural zeros allow."""
-    xi = np.zeros((m, m, 2, 2))
-    zeta = np.zeros((m + 1, m + 1, 2, 2))
-    for i in range(m):
-        for j in range(i + 1):
-            xi[i, j, 0, 0] = rng.standard_normal()
-            xi[i, j, 1, 0] = rng.standard_normal()
-    zeta[0, 0, 0, 0] = 1.0
-    for i in range(1, m + 1):
-        for j in range(-1, i):
-            zeta[i, j + 1, 0, 0] = rng.standard_normal()
-            zeta[i, j + 1, 1, 0] = rng.standard_normal()
+    """iid N(0,1) entries on and below the diagonal, zeros above it, and
+    the fixed zeta_{0,-1}."""
+    def lower(k):
+        return np.where(np.tri(k, dtype=bool)[:, :, None],
+                        rng.standard_normal((k, k, 2)), 0.0)
+    xi, zeta = lower(m), lower(m + 1)
+    zeta[0, 0] = (1.0, 0.0)
     return OnsagerTable(xi=xi, zeta=zeta)
 
 
@@ -92,29 +86,30 @@ def onsager_from_dmft(state: DmftState, m: int) -> OnsagerTable:
             f"DMFT horizon too short for m={m}: theta side at {state.t_theta}, "
             f"eta side at {state.t_eta}")
     delta = state.delta
-    xi = np.zeros((m, m, 2, 2))
-    zeta = np.zeros((m + 1, m + 1, 2, 2))
-    zeta[0, 0, 0, 0] = 1.0
-    for i in range(1, m + 1):
-        zeta[i, 0, 0, 0] = state.r_theta_dia[i]
-        for j in range(i):
-            zeta[i, j + 1, 0, 0] = delta * state.R_theta[i, j]
-    for i in range(m):
-        if i == 0:
-            xi[0, 0, 0, 0] = state.e_d1_T_t0
-        else:
-            xi[i, i, 0, 0] = state.e_d1[i]
-            xi[i, 0, 0, 0] = (state.R_eta[i, 0] + state.R_eta_dia[i]) / delta
-            for j in range(1, i):
-                xi[i, j, 0, 0] = state.R_eta[i, j] / delta
-        xi[i, 0, 1, 0] = (state.R_eta_star[i] + state.R_eta_dd[i]) / delta
+    zeta = np.zeros((m + 1, m + 1, 2))
+    zeta[0, 0, 0] = 1.0
+    zeta[1:, 0, 0] = state.r_theta_dia[1:m + 1]
+    zeta[1:, 1:, 0] = np.tril(delta * state.R_theta[1:m + 1, :m])
+    xi = np.zeros((m, m, 2))
+    if m == 0:
+        return OnsagerTable(xi=xi, zeta=zeta)
+    xi[:, :, 0] = np.tril(state.R_eta[:m, :m], -1) / delta
+    xi[1:, 0, 0] = (state.R_eta[1:m, 0] + state.R_eta_dia[1:m]) / delta
+    diag = np.arange(m)
+    xi[diag, diag, 0] = state.e_d1[:m]
+    # xi_{0,0} carries the extra (1 + T(y)) factor
+    xi[0, 0, 0] = state.e_d1_T_t0
+    xi[:, 0, 1] = (state.R_eta_star[:m] + state.R_eta_dd[:m]) / delta
     return OnsagerTable(xi=xi, zeta=zeta)
 
 
 @dataclass(frozen=True)
 class AmpRun:
-    a_iters: list      # a^1..a^m, each (d, 2)
-    b_iters: list      # b^0..b^m, each (n, 2)
+    """First columns of the iterates, and the reconstructions; the second
+    column of every a^i is zero and that of every b^i is X theta*."""
+
+    a_iters: Array     # (m, d) first columns of a^1..a^m
+    b_iters: Array     # (m+1, n) first columns of b^0..b^m
     theta_rec: Array   # (m+1, d) reconstructed theta^0..theta^m
     eta_rec: Array     # (m+1, n) reconstructed X theta^0..X theta^m
 
@@ -156,44 +151,39 @@ def run_spectral_amp(
     b_star = inst.eta_star
     theta_star = inst.theta_star
 
-    b0 = Xtheta0 - extra
-    eta0 = (1.0 + Ty) * b0
-
+    a_iters = np.empty((m, d))
+    b_iters = np.empty((m + 1, n))
     theta_rec = np.empty((m + 1, d))
     eta_rec = np.empty((m + 1, n))
     ells = np.empty((m + 1, n))         # first columns of f_0..f_m
+    b0 = np.subtract(Xtheta0, extra, out=b_iters[0])
     theta_rec[0] = theta0
-    eta_rec[0] = eta0
-    ells[0] = loss.ell(eta0, b_star, z)
-    a_iters: list[Array] = []
-    b_iters: list[Array] = [np.column_stack([b0, b_star])]
+    eta_rec[0] = (1.0 + Ty) * b0
+    ells[0] = loss.ell(eta_rec[0], b_star, z)
     xi, zeta = onsager.xi, onsager.zeta
     rxi, rzeta = recon.xi, recon.zeta
 
     for i in range(m):
         thetas, ell_hist = theta_rec[:i + 1], ells[:i + 1]
         # a^{i+1} from f_i and the xi corrections over g_0..g_i
-        a_next = np.zeros((d, 2))
-        a_next[:, 0] = (-rmatvec(X, ells[i]) / delta
-                        + xi[i, :i + 1, 0, 0] @ thetas
-                        + xi[i, :i + 1, 1, 0].sum() * theta_star)
-        a_iters.append(a_next)
+        a_iters[i] = (-rmatvec(X, ells[i]) / delta
+                      + xi[i, :i + 1, 0] @ thetas
+                      + xi[i, :i + 1, 1].sum() * theta_star)
 
         # reconstruct theta^{i+1} (Onsager part cancels by construction)
-        corr = rxi[i, :i + 1, 0, 0] @ thetas
-        star_coef = rxi[i, :i + 1, 1, 0].sum()
+        corr = rxi[i, :i + 1, 0] @ thetas
+        star_coef = rxi[i, :i + 1, 1].sum()
         theta_rec[i + 1] = (
             (1.0 - gamma * lambda_ridge) * theta_rec[i]
-            + gamma * delta * (a_next[:, 0] - corr - star_coef * theta_star)
+            + gamma * delta * (a_iters[i] - corr - star_coef * theta_star)
         )
 
         # b^{i+1} and the reconstruction of X theta^{i+1}; the second column
         # of b^{i+1} is X theta* because g_{i+1} = (theta^{i+1}, theta*)
-        b_next = (matvec(X, theta_rec[i + 1]) - extra * zeta[i + 1, 0, 0, 0]
-                  + (zeta[i + 1, 1:i + 2, 0, 0] @ ell_hist) / delta)
-        b_iters.append(np.column_stack([b_next, b_star]))
-        eta_rec[i + 1] = (b_next + Ty * b0 * rzeta[i + 1, 0, 0, 0]
-                          - (rzeta[i + 1, 1:i + 2, 0, 0] @ ell_hist) / delta)
+        b_iters[i + 1] = (matvec(X, theta_rec[i + 1]) - extra * zeta[i + 1, 0, 0]
+                          + (zeta[i + 1, 1:i + 2, 0] @ ell_hist) / delta)
+        eta_rec[i + 1] = (b_iters[i + 1] + Ty * b0 * rzeta[i + 1, 0, 0]
+                          - (rzeta[i + 1, 1:i + 2, 0] @ ell_hist) / delta)
         ells[i + 1] = loss.ell(eta_rec[i + 1], b_star, z)
 
     return AmpRun(a_iters=a_iters, b_iters=b_iters,
@@ -250,7 +240,7 @@ def se_check(amp: AmpRun, law: DmftLaw, theta0: Array, theta_star: Array,
         entry("overlap_theta1_star", np.mean(amp.theta_rec[1] * theta_star),
               fmean(law.theta_samples[:, 1] * law.theta_samples[:, -1]), 0.03)
     for i in range(1, m + 1):
-        a_col = amp.a_iters[i - 1][:, 0]
+        a_col = amp.a_iters[i - 1]
         u_scaled = law.u_samples[:, i - 1] / delta
         ref = fmean(u_scaled**2)
         entry(f"second_moment_a{i}", np.mean(a_col**2), ref,

@@ -20,7 +20,7 @@ from . import amp as amp_mod
 from . import dmft as dmft_mod
 from . import fixed_point as fp_mod
 from . import metrics
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_seed, load_config
 from .gd import empirical_joint, loss_value, run_gd
 from .model import make_instance
 from .spectral import solve_lambda_star, spectral_estimator
@@ -51,6 +51,15 @@ def _write_matrix_csv(path: Path, M: np.ndarray, corner: str = "t\\s") -> None:
         fh.write(corner + "," + ",".join(str(s) for s in range(M.shape[1])) + "\n")
         for t, row in enumerate(M):
             fh.write(str(t) + "," + ",".join(FLOAT_FMT % v for v in row) + "\n")
+
+
+def _write_columns(path: Path, index: str, cols: dict, start: int = 0) -> None:
+    """A table with one row per position of the equal-length ``cols``: the
+    index (counting from ``start``), then each column's value."""
+    with open(path, "w") as fh:
+        fh.write(",".join([index, *cols]) + "\n")
+        for t, row in enumerate(zip(*cols.values()), start=start):
+            fh.write(f"{t}," + ",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
 def _write_samples(path_base: Path, arr: np.ndarray) -> Path:
@@ -154,16 +163,14 @@ class Runner:
     def stage_simulate(self) -> dict:
         inst = self.inst
         traj = self.traj
-        loss = self.cfg.loss
         sqd = np.sqrt(inst.d)
-        with open(self.out / "trajectory.csv", "w") as fh:
-            fh.write("t,dist,overlap,loss\n")
-            for t in range(traj.m + 1):
-                dist = np.linalg.norm(traj.theta[t] - inst.theta_star) / sqd
-                ov = float(traj.theta[t] @ inst.theta_star / inst.d)
-                lv = loss_value(loss, traj, t)
-                fh.write(f"{t}," + ",".join(
-                    FLOAT_FMT % v for v in (dist, ov, lv)) + "\n")
+        ts = range(traj.m + 1)
+        _write_columns(self.out / "trajectory.csv", "t", {
+            "dist": [np.linalg.norm(traj.theta[t] - inst.theta_star) / sqd
+                     for t in ts],
+            "overlap": [traj.theta[t] @ inst.theta_star / inst.d for t in ts],
+            "loss": [loss_value(self.cfg.loss, traj, t) for t in ts],
+        })
         return {"ok": True}
 
     def stage_dmft(self) -> dict:
@@ -174,21 +181,15 @@ class Runner:
         _write_matrix_csv(out / "R_theta.csv", state.R_theta)
         _write_matrix_csv(out / "C_eta.csv", state.C_eta)
         _write_matrix_csv(out / "R_eta.csv", state.R_eta)
-        cols = {
-            "C_theta_star": np.asarray(state.c_theta_star),
-            "R_theta_diamond": np.asarray(state.r_theta_dia),
-            "C_eta_diamond": np.asarray(state.c_eta_dia),
-            "R_eta_star": np.asarray(state.R_eta_star),
-            "R_eta_diamond": np.asarray(state.R_eta_dia),
-            "R_eta_diamond2": np.asarray(state.R_eta_dd),
-            "Gamma": np.asarray(state.Gamma),
-        }
-        with open(out / "kernels_channels.csv", "w") as fh:
-            fh.write("t," + ",".join(cols) + "\n")
-            n_rows = max(len(v) for v in cols.values())
-            for t in range(n_rows):
-                vals = [FLOAT_FMT % c[t] if t < len(c) else "" for c in cols.values()]
-                fh.write(f"{t}," + ",".join(vals) + "\n")
+        _write_columns(out / "kernels_channels.csv", "t", {
+            "C_theta_star": state.c_theta_star,
+            "R_theta_diamond": state.r_theta_dia,
+            "C_eta_diamond": state.c_eta_dia,
+            "R_eta_star": state.R_eta_star,
+            "R_eta_diamond": state.R_eta_dia,
+            "R_eta_diamond2": state.R_eta_dd,
+            "Gamma": state.Gamma,
+        })
         _write_samples(out / "dmft_theta_samples", law.theta_samples)
         _write_samples(out / "dmft_eta_samples", law.eta_samples)
         diag = {
@@ -227,10 +228,8 @@ class Runner:
         # one row per outer step from the second on: its length follows the
         # step count, so it has its own file and fixed_point.json keeps a
         # fixed set of scalars
-        with open(self.out / "fixed_point_trace.csv", "w") as fh:
-            fh.write("outer_step,max_param_change\n")
-            for step, change in enumerate(fp.residual_trace, start=2):
-                fh.write(f"{step}," + FLOAT_FMT % change + "\n")
+        _write_columns(self.out / "fixed_point_trace.csv", "outer_step",
+                       {"max_param_change": fp.residual_trace}, start=2)
         return _status([fp.reason] if fp.reason else [])
 
     def stage_amp_check(self) -> dict:
@@ -283,12 +282,9 @@ class Runner:
                             f"exceeds cov_tol = {cfg.cov_tol:g}")
         record["ok"] = not failures
         _write_json(self.out / "comparison.json", record)
-        with open(self.out / "comparison.csv", "w") as fh:
-            fh.write("t,w2_theta,w2_eta,overlap_emp,overlap_dmft\n")
-            for t in range(len(rep.w2_theta)):
-                fh.write(f"{t}," + ",".join(FLOAT_FMT % v for v in (
-                    rep.w2_theta[t], rep.w2_eta[t],
-                    rep.overlap_emp[t], rep.overlap_dmft[t])) + "\n")
+        _write_columns(self.out / "comparison.csv", "t", {
+            "w2_theta": rep.w2_theta, "w2_eta": rep.w2_eta,
+            "overlap_emp": rep.overlap_emp, "overlap_dmft": rep.overlap_dmft})
         return _status(failures)
 
     STAGES = {
@@ -352,11 +348,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=check_seed("model.seed (--seed)", args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
 
     if args.subcommand == "pipeline":

@@ -92,6 +92,14 @@ def _get(cp, section, key, cast, required=False):
         raise ConfigError(f"field {section}.{key}: cannot parse {raw!r}") from exc
 
 
+def check_seed(field: str, seed: int) -> int:
+    """``seed``, or a ConfigError naming ``field`` when it is negative:
+    numpy's generators take only non-negative seeds."""
+    if seed < 0:
+        raise ConfigError(f"field {field}: must be >= 0, got {seed}")
+    return seed
+
+
 def _build(fields: dict, make, *args, **kwargs):
     """``make(*args, **kwargs)`` with its errors as ConfigErrors naming the
     INI field.  ``fields`` maps each parameter, and "name" for a registry
@@ -166,10 +174,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         QuadratureSpec,
         gh_nodes=_get(cp, "spectral", "gh_nodes", int),
         z_samples=_get(cp, "spectral", "z_samples", int),
-        seed=_get(cp, "spectral", "quad_seed", int))
+        seed=check_seed("spectral.quad_seed",
+                        _get(cp, "spectral", "quad_seed", int)))
     monte_carlo = _build(
         {"K": "dmft.K"}, MonteCarloSpec,
-        K=_get(cp, "dmft", "K", int), seed=_get(cp, "dmft", "seed", int))
+        K=_get(cp, "dmft", "K", int),
+        seed=check_seed("dmft.seed", _get(cp, "dmft", "seed", int)))
     solver = _build(
         {"K": "fixedpoint.K", "damping": "fixedpoint.damping",
          "tol": "fixedpoint.tol", "max_outer": "fixedpoint.max_outer"},
@@ -178,7 +188,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         damping=_get(cp, "fixedpoint", "damping", float),
         tol=_get(cp, "fixedpoint", "tol", float),
         max_outer=_get(cp, "fixedpoint", "max_outer", int),
-        seed=_get(cp, "fixedpoint", "seed", int))
+        seed=check_seed("fixedpoint.seed", _get(cp, "fixedpoint", "seed", int)))
     warm_start = _get(cp, "fixedpoint", "warm_start", str)
     if warm_start not in ("dmft", "none"):
         raise ConfigError(f"field fixedpoint.warm_start: {warm_start!r}")
@@ -202,7 +212,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"spectral, got {init!r}")
 
     return ExperimentConfig(
-        n=n, d=d, seed=_get(cp, "model", "seed", int), delta=n / d,
+        n=n, d=d, seed=check_seed("model.seed", _get(cp, "model", "seed", int)),
+        delta=n / d,
         link=link, noise=noise, signal=signal, loss=loss, pre=pre,
         gd=gd, init=init, quadrature=quadrature, monte_carlo=monte_carlo,
         solver=solver, fp_warm_start=warm_start,

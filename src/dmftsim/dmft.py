@@ -216,8 +216,11 @@ class DmftState:
 
     ``allocate(m)`` (called by ``run_dmft``) sizes every pool and kernel once
     for horizon m, with time as the leading axis: the ``(m+2, K)`` theta pool
-    ends with theta*, the ``(m+3, K)`` eta pool with w* and z, and the
-    kernels are ``(m+1, m+1)`` matrices.  The steps write one row at a time,
+    ends with theta*, the ``(m+3, K)`` eta pool with w* and z, the kernels
+    are ``(m+1, m+1)`` matrices, and the seven channels ``c_theta_star``,
+    ``r_theta_dia``, ``c_eta_dia``, ``R_eta_star``, ``R_eta_dia``,
+    ``R_eta_dd`` and ``e_d1`` are ``(m+1,)`` arrays indexed by t;
+    ``Gamma = delta * e_d1``.  The steps write one row or entry at a time,
     and the law returned by ``law()`` holds views of these pools.  The
     per-path eta responses stay as ``r_eta_ts[t]`` of shape ``(t, K)``.
     """
@@ -257,24 +260,14 @@ class DmftState:
         self.m: Optional[int] = None    # horizon, set by allocate
 
         self.C_star_star = 1.0
-        self.c_theta_star = [0.0 if independent_init else self.a]
-        # deterministic theta responses
-        self.r_theta_dia: list[float] = [0.0 if independent_init else 1.0]
+        self.C_eta_dia_dia = 1.0 - self.a**2
+        self.e_d1_T_t0: Optional[float] = None  # E[d1ell(eta^0,..)(1 + T(y))]
 
         # per-path eta responses, filled by step_eta
         self.r_eta_ts: dict[int, Array] = {}   # t -> (t, K)
         self.r_eta_star: list[Array] = []
         self.r_eta_dia: list[Array] = []
         self.r_eta_dd: list[Array] = []
-
-        self.c_eta_dia: list[float] = []
-        self.C_eta_dia_dia = 1.0 - self.a**2
-        self.R_eta_star: list[float] = []
-        self.R_eta_dia: list[float] = []
-        self.R_eta_dd: list[float] = []
-        self.Gamma: list[float] = []      # delta * E[d1ell(eta^t, w*, z)]
-        self.e_d1: list[float] = []       # E[d1ell(eta^t, w*, z)]
-        self.e_d1_T_t0: Optional[float] = None  # E[d1ell(eta^0,..)(1 + T(y))]
 
         self.t_eta = -1     # last t with eta^t computed
         self.t_theta = 0    # last t with theta^t computed
@@ -304,6 +297,13 @@ class DmftState:
         self.C_eta = np.zeros((m + 1, m + 1))
         self.R_theta = np.zeros((m + 1, m + 1))   # R_theta(t, s), s < t
         self.R_eta = np.zeros((m + 1, m + 1))     # R_eta(t, s), s < t
+        self.c_theta_star = np.zeros(m + 1)
+        self.r_theta_dia = np.zeros(m + 1)        # deterministic theta responses
+        self.c_eta_dia = np.zeros(m + 1)
+        self.R_eta_star = np.zeros(m + 1)
+        self.R_eta_dia = np.zeros(m + 1)
+        self.R_eta_dd = np.zeros(m + 1)
+        self.e_d1 = np.zeros(m + 1)               # E[d1ell(eta^t, w*, z)]
 
         # Draw order is fixed: z, theta*, slot-0 innovation.  Later
         # innovations are drawn one column per step so that runs to different
@@ -329,7 +329,14 @@ class DmftState:
         else:
             self.u_dia = self.u_proc.add(np.zeros(0), 1.0 - self.a**2, unit)
             np.add(self.a * self.theta_star, self.u_dia, out=self.thetas[0])
+            self.c_theta_star[0] = self.a
+            self.r_theta_dia[0] = 1.0
         self.C_theta[0, 0] = 1.0
+
+    @property
+    def Gamma(self) -> Array:
+        """delta * E[d1ell(eta^t, w*, z)] for t = 0..m."""
+        return self.delta * self.e_d1
 
     def release_paths(self) -> None:
         """Drop every K-path array: the sample pools, the per-path
@@ -435,19 +442,15 @@ class DmftState:
         for r in range(t + 1):
             self.C_eta[t, r] = self.C_eta[r, t] = (
                 self.delta * fmean(ell_t * self.ell_vals[r]))
-        if self.independent_init:
-            self.c_eta_dia.append(0.0)
-        else:
-            self.c_eta_dia.append(
+        if not self.independent_init:
+            self.c_eta_dia[t] = (
                 -(self.delta / self.lam_star) * fmean(ell_t * self.Ts_y * self.etas[0]))
         for s in range(t):
             self.R_eta[t, s] = self.delta * fmean(self.r_eta_ts[t][s])
-        self.R_eta_star.append(self.delta * fmean(self.r_eta_star[t]))
-        self.R_eta_dia.append(self.delta * fmean(self.r_eta_dia[t]))
-        self.R_eta_dd.append(self.delta * fmean(self.r_eta_dd[t]))
-        e1 = fmean(d1_t)
-        self.e_d1.append(e1)
-        self.Gamma.append(self.delta * e1)
+        self.R_eta_star[t] = self.delta * fmean(self.r_eta_star[t])
+        self.R_eta_dia[t] = self.delta * fmean(self.r_eta_dia[t])
+        self.R_eta_dd[t] = self.delta * fmean(self.r_eta_dd[t])
+        self.e_d1[t] = fmean(d1_t)
         if t == 0:
             self.e_d1_T_t0 = fmean(d1_t * (1.0 + self.Ty))
         self.t_eta = t
@@ -470,7 +473,8 @@ class DmftState:
         u_t = self.u_proc.add(cov, self.C_eta[t, t], self.rng.standard_normal(K))
 
         R_row = self.R_eta[t]
-        drift = -(lam + self.Gamma[t]) * self.thetas[t] + u_t
+        gamma_t = self.delta * self.e_d1[t]
+        drift = -(lam + gamma_t) * self.thetas[t] + u_t
         for s in range(t):
             if R_row[s] != 0.0:
                 drift -= R_row[s] * self.thetas[s]
@@ -481,7 +485,7 @@ class DmftState:
 
         # deterministic responses
         R = self.R_theta
-        fac = 1.0 - gamma * lam - gamma * self.Gamma[t]
+        fac = 1.0 - gamma * lam - gamma * gamma_t
         R[t + 1, :t] = fac * R[t, :t]
         for r in range(1, t):
             if R_row[r] != 0.0:
@@ -491,13 +495,13 @@ class DmftState:
         for r in range(t):
             if R_row[r] != 0.0:
                 dia -= gamma * R_row[r] * self.r_theta_dia[r]
-        self.r_theta_dia.append(dia)
+        self.r_theta_dia[t + 1] = dia
 
         # correlation kernels
         for r in range(t + 2):
             self.C_theta[t + 1, r] = self.C_theta[r, t + 1] = (
                 fmean(theta_next * self.thetas[r]))
-        self.c_theta_star.append(fmean(theta_next * self.theta_star))
+        self.c_theta_star[t + 1] = fmean(theta_next * self.theta_star)
         self.t_theta = t + 1
 
     def law(self) -> DmftLaw:
@@ -619,9 +623,9 @@ def tti_diagnostics(state: DmftState, max_lag: int = 5,
         r2 = 1.0 - ssr / sst if sst > 0 else 1.0
     return TtiReport(
         lags=lags,
-        dia_theta=np.abs(np.array(state.r_theta_dia[: m + 1])),
-        dia_eta=np.abs(np.array(state.R_eta_dia)),
-        dd_eta=np.abs(np.array(state.R_eta_dd)),
+        dia_theta=np.abs(state.r_theta_dia[: m + 1]),
+        dia_eta=np.abs(state.R_eta_dia[: m + 1]),
+        dd_eta=np.abs(state.R_eta_dd[: m + 1]),
         fit_base_t=fit_base,
         fit_slope=slope,
         fit_r2=r2,

@@ -9,9 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# not called here: the f2py syrk is the one-call form of build_Mn's
-# accumulation, which tests/test_spectral.py reads as spectral.dsyrk
-from scipy.linalg.blas import dsyrk  # noqa: F401
 
 from . import halves
 from .gd import GdConfig, Trajectory, run_gd

@@ -49,30 +49,73 @@ def setup():
 # ---------------------------------------------------------------------------
 
 def test_structural_zeros_enforced():
-    xi = np.zeros((2, 2, 2, 2))
-    zeta = np.zeros((3, 3, 2, 2))
-    zeta[0, 0, 0, 0] = 1.0
+    xi = np.zeros((2, 2, 2))
+    zeta = np.zeros((3, 3, 2))
+    zeta[0, 0, 0] = 1.0
     OnsagerTable(xi=xi, zeta=zeta)  # valid
-    bad_xi = xi.copy()
-    bad_xi[0, 0, 0, 1] = 0.3
-    with pytest.raises(ValueError, match="second column of every xi"):
-        OnsagerTable(xi=bad_xi, zeta=zeta)
-    bad_zeta = zeta.copy()
-    bad_zeta[1, 0, 1, 1] = 0.3
-    with pytest.raises(ValueError, match="second column of every zeta"):
-        OnsagerTable(xi=xi, zeta=bad_zeta)
-    bad_init = zeta.copy()
-    bad_init[0, 0, 0, 0] = 0.5
-    with pytest.raises(ValueError, match="zeta_{0,-1}"):
-        OnsagerTable(xi=xi, zeta=bad_init)
+    for bad in ((0.5, 0.0), (1.0, 0.3)):
+        bad_init = zeta.copy()
+        bad_init[0, 0] = bad
+        with pytest.raises(ValueError, match="zeta_{0,-1}"):
+            OnsagerTable(xi=xi, zeta=bad_init)
+    # the 2x2 blocks with a stored second output column are refused
+    with pytest.raises(ValueError, match=r"xi must be \(m, m, 2\)"):
+        OnsagerTable(xi=np.zeros((2, 2, 2, 2)), zeta=zeta)
+    with pytest.raises(ValueError, match=r"zeta must be \(m\+1, m\+1, 2\)"):
+        OnsagerTable(xi=xi, zeta=np.zeros((3, 3, 2, 2)))
 
 
 def test_random_table_respects_zeros():
     rng = np.random.default_rng(0)
     table = random_onsager_table(5, rng)
-    assert np.all(table.xi[:, :, :, 1] == 0)
-    assert np.all(table.zeta[:, :, :, 1] == 0)
-    assert np.array_equal(table.zeta[0, 0], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    for M, k in ((table.xi, 5), (table.zeta, 6)):
+        upper = ~np.tri(k, dtype=bool)
+        assert np.all(M[upper] == 0.0)
+        assert np.all(M[~upper][1:] != 0.0)
+    assert np.array_equal(table.zeta[0, 0], [1.0, 0.0])
+
+
+def onsager_from_dmft_per_entry(state, m):
+    """onsager_from_dmft as a loop over the table entries, one parent
+    expression per entry."""
+    delta = state.delta
+    xi = np.zeros((m, m, 2))
+    zeta = np.zeros((m + 1, m + 1, 2))
+    zeta[0, 0, 0] = 1.0
+    for i in range(1, m + 1):
+        zeta[i, 0, 0] = state.r_theta_dia[i]
+        for j in range(i):
+            zeta[i, j + 1, 0] = delta * state.R_theta[i, j]
+    for i in range(m):
+        if i == 0:
+            xi[0, 0, 0] = state.e_d1_T_t0
+        else:
+            xi[i, i, 0] = state.e_d1[i]
+            xi[i, 0, 0] = (state.R_eta[i, 0] + state.R_eta_dia[i]) / delta
+            for j in range(1, i):
+                xi[i, j, 0] = state.R_eta[i, j] / delta
+        xi[i, 0, 1] = (state.R_eta_star[i] + state.R_eta_dd[i]) / delta
+    return xi, zeta
+
+
+def test_sliced_onsager_fill_equals_per_entry_loop_bitwise(setup):
+    st = init_dmft(RWF, abs_link(), point_mass_dist(0.0), PRE3, setup["sol"],
+                   2.0, setup["gamma"], setup["lam"],
+                   MonteCarloSpec(K=3000, seed=6))
+    run_dmft(st, 9)
+    for state, horizons in ((setup["state"], range(setup["m"] + 1)),
+                            (st, (0, 1, 2, 9))):
+        for m in horizons:
+            table = onsager_from_dmft(state, m)
+            xi, zeta = onsager_from_dmft_per_entry(state, m)
+            assert table.xi.tobytes() == xi.tobytes()
+            assert table.zeta.tobytes() == zeta.tobytes()
+    before = onsager_from_dmft(st, 9)
+    st.release_paths()
+    after = onsager_from_dmft(st, 9)
+    xi, zeta = onsager_from_dmft_per_entry(st, 9)
+    assert after.xi.tobytes() == before.xi.tobytes() == xi.tobytes()
+    assert after.zeta.tobytes() == before.zeta.tobytes() == zeta.tobytes()
 
 
 def test_onsager_from_dmft_values(setup):
@@ -81,14 +124,14 @@ def test_onsager_from_dmft_values(setup):
     table = onsager_from_dmft(st, m)
     delta = st.delta
     for t in range(1, m + 1):
-        assert table.zeta[t, t, 0, 0] == delta * setup["gamma"]
-        assert table.zeta[t, 0, 0, 0] == st.r_theta_dia[t]
-    # (xi_00)_11 carries the extra (1 + T(y)) factor
-    assert table.xi[0, 0, 0, 0] == st.e_d1_T_t0
+        assert table.zeta[t, t, 0] == delta * setup["gamma"]
+        assert table.zeta[t, 0, 0] == st.r_theta_dia[t]
+    # xi_{0,0} carries the extra (1 + T(y)) factor
+    assert table.xi[0, 0, 0] == st.e_d1_T_t0
     for t in range(1, m):
-        assert table.xi[t, t, 0, 0] == st.e_d1[t]
-        assert table.xi[t, 0, 0, 0] == (st.R_eta[t, 0] + st.R_eta_dia[t]) / delta
-    assert table.xi[0, 0, 1, 0] == (st.R_eta_star[0] + st.R_eta_dd[0]) / delta
+        assert table.xi[t, t, 0] == st.e_d1[t]
+        assert table.xi[t, 0, 0] == (st.R_eta[t, 0] + st.R_eta_dia[t]) / delta
+    assert table.xi[0, 0, 1] == (st.R_eta_star[0] + st.R_eta_dd[0]) / delta
 
 
 def test_onsager_from_dmft_horizon_check(setup):
@@ -100,41 +143,12 @@ def test_onsager_from_dmft_horizon_check(setup):
 # AMP run and equivalence
 # ---------------------------------------------------------------------------
 
-def test_b0_second_column_is_X_theta_star(setup):
-    table = onsager_from_dmft(setup["state"], setup["m"])
-    run = run_spectral_amp(setup["inst"], PRE3, setup["sol"],
-                           setup["spec"].theta0, table, RWF,
-                           setup["gamma"], setup["lam"], setup["m"])
-    expected = setup["inst"].X @ setup["inst"].theta_star
-    assert np.array_equal(run.b_iters[0][:, 1], expected)
-    for b in run.b_iters[1:]:
-        assert np.allclose(b[:, 1], expected, atol=1e-12)
-
-
-def test_constant_columns_are_exact(setup):
-    # f_i = (ell_i, 0) and g_i = (theta^i, theta*): the second column of
-    # every a^i is exactly zero and that of every b^i is exactly X theta*
-    table = onsager_from_dmft(setup["state"], setup["m"])
-    inst = setup["inst"]
-    run = run_spectral_amp(inst, PRE3, setup["sol"], setup["spec"].theta0,
-                           table, RWF, setup["gamma"], setup["lam"], setup["m"])
-    b_star = inst.X @ inst.theta_star
-    assert len(run.a_iters) == setup["m"]
-    assert len(run.b_iters) == setup["m"] + 1
-    for a in run.a_iters:
-        assert a.shape == (inst.d, 2)
-        assert np.all(a[:, 1] == 0.0)
-    for b in run.b_iters:
-        assert b.shape == (inst.n, 2)
-        assert np.array_equal(b[:, 1], b_star)
-
-
 def test_first_step_with_zero_table(setup):
     # all-zero corrections except the structural zeta_{0,-1}
     m = 1
-    xi = np.zeros((m, m, 2, 2))
-    zeta = np.zeros((m + 1, m + 1, 2, 2))
-    zeta[0, 0, 0, 0] = 1.0
+    xi = np.zeros((m, m, 2))
+    zeta = np.zeros((m + 1, m + 1, 2))
+    zeta[0, 0, 0] = 1.0
     table = OnsagerTable(xi=xi, zeta=zeta)
     inst, sol = setup["inst"], setup["sol"]
     run = run_spectral_amp(inst, PRE3, sol, setup["spec"].theta0, table, RWF,
@@ -144,8 +158,10 @@ def test_first_step_with_zero_table(setup):
     b0_1 = inst.X @ setup["spec"].theta0 * (1 - Zs / sol.lambda_star)
     f0 = RWF.ell((1 + Ty) * b0_1, inst.X @ inst.theta_star, inst.z)
     expected_a1 = -(inst.X.T @ f0) / (inst.n / inst.d)
-    assert np.allclose(run.a_iters[0][:, 0], expected_a1, atol=1e-12)
-    assert np.array_equal(run.a_iters[0][:, 1], np.zeros(inst.d))
+    assert run.a_iters.shape == (m, inst.d)
+    assert run.b_iters.shape == (m + 1, inst.n)
+    assert np.allclose(run.b_iters[0], b0_1, atol=1e-12)
+    assert np.allclose(run.a_iters[0], expected_a1, atol=1e-12)
 
 
 def test_equivalence_with_dmft_table(setup):

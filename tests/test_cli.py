@@ -309,6 +309,10 @@ CASE_CONTEXT = {
     ("model", "noise_value", "nan"),
     ("loss", "scale", "nan"),
     ("loss", "m_clip", "nan"),
+    ("model", "seed", "-1"),
+    ("spectral", "quad_seed", "-1"),
+    ("dmft", "seed", "-1"),
+    ("fixedpoint", "seed", "-1"),
 ])
 def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
     fields = {**CASE_CONTEXT.get((section, key), {}), (section, key): value}
@@ -317,6 +321,13 @@ def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, va
     code = main(["pipeline", "--config", str(path)])
     assert code == 2
     assert f"field {section}.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert main(["pipeline", "--config", str(path), "--seed", "-1"]) == 2
+    assert "field model.seed (--seed): must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from dmftsim import spectral
 from dmftsim.model import (
@@ -116,7 +117,7 @@ def build_Mn_tril_mirror(inst, pre):
     rows = spectral.MN_ROW_BLOCK
     for start in range(0, n, rows):
         B = sw[start:start + rows, None] * X[start:start + rows]
-        C = spectral.dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
+        C = dsyrk(1.0, B.T, beta=1.0, c=C, trans=0, lower=1, overwrite_c=1)
     C += np.tril(C, -1).T
     return C
 
