@@ -20,7 +20,7 @@ from . import amp as amp_mod
 from . import dmft as dmft_mod
 from . import fixed_point as fp_mod
 from . import metrics
-from .config import ConfigError, ExperimentConfig, check_seed, load_config
+from .config import STAGE_NAMES, ConfigError, ExperimentConfig, check_seed, load_config
 from .gd import empirical_joint, loss_value, run_gd
 from .model import make_instance
 from .spectral import solve_lambda_star, spectral_estimator
@@ -260,7 +260,7 @@ class Runner:
         tb, eb = empirical_joint(self.traj, self.inst.theta_star)
         state, law = self.dmft
         rep = metrics.compare_empirical_vs_dmft(
-            tb, eb, law, state.C_theta, state.c_theta_star, state.C_eta)
+            tb, eb, law, state.C_theta, state.c_theta_star)
         record = {
             "w2_theta": rep.w2_theta,
             "w2_eta": rep.w2_eta,
@@ -287,14 +287,11 @@ class Runner:
             "overlap_emp": rep.overlap_emp, "overlap_dmft": rep.overlap_dmft})
         return _status(failures)
 
-    STAGES = {
-        "spectral": stage_spectral,
-        "simulate": stage_simulate,
-        "dmft": stage_dmft,
-        "fixed-point": stage_fixed_point,
-        "amp-check": stage_amp_check,
-        "compare": stage_compare,
-    }
+
+# stage name -> the Runner method that runs it, e.g. "amp-check" ->
+# stage_amp_check
+Runner.STAGES = {name: getattr(Runner, "stage_" + name.replace("-", "_"))
+                 for name in STAGE_NAMES}
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -313,8 +310,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> int:
     retained law pools do not sit under the M_n build."""
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = Runner(cfg, out_dir)
-    order = ["spectral", "simulate", "dmft", "amp-check", "fixed-point",
-             "compare"]
+    order = list(STAGE_NAMES)
     if "amp-check" in cfg.pipeline_stages:
         order.remove("dmft")
         order.insert(0, "dmft")
@@ -337,9 +333,7 @@ def main(argv=None) -> int:
         prog="dmftsim",
         description="Spectral-initialized gradient descent: simulation, DMFT "
                     "integration, fixed points, and AMP cross-checks.")
-    parser.add_argument("subcommand", choices=[
-        "spectral", "simulate", "dmft", "fixed-point", "amp-check",
-        "compare", "pipeline"])
+    parser.add_argument("subcommand", choices=[*STAGE_NAMES, "pipeline"])
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,

@@ -28,6 +28,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+# the pipeline's stages in their run order (run_pipeline moves dmft first
+# when amp-check runs); the names of outputs.stages and of the subcommands
+STAGE_NAMES = ("spectral", "simulate", "dmft", "amp-check", "fixed-point", "compare")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # model block
@@ -128,8 +133,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     n = _get(cp, "model", "n", int, required=True)
     d = _get(cp, "model", "d", int, required=True)
-    if n < 2 or d < 2:
-        raise ConfigError("field model.n/model.d: need n, d >= 2")
+    for key, size in (("n", n), ("d", d)):
+        if size < 2:
+            raise ConfigError(f"field model.{key}: must be >= 2, got {size}")
 
     link = _build({"name": "model.link"}, get_link,
                   _get(cp, "model", "link", str, required=True))
@@ -202,9 +208,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     stages = tuple(s.strip() for s in _get(cp, "outputs", "stages", str).split(",")
                    if s.strip())
-    known = {"spectral", "simulate", "dmft", "fixed-point", "amp-check", "compare"}
     for s in stages:
-        if s not in known:
+        if s not in STAGE_NAMES:
             raise ConfigError(f"field outputs.stages: unknown stage {s!r}")
     if "amp-check" in stages and init != "spectral":
         raise ConfigError(

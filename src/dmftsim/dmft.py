@@ -214,6 +214,13 @@ class IncrementalGaussian:
 class DmftState:
     """Kernels, responses, and Monte Carlo path pools of the DMFT system.
 
+    Its inputs are the loss, the link, the noise and signal laws, the
+    pre-processing map (through T(u) = Ts(u) / (lambda* - Ts(u))), lambda*
+    and the overlap a of ``lam_sol``, delta, the step size gamma, the ridge
+    lambda and the Monte Carlo spec.  Spectral mode needs a in (0, 1] and
+    seeds theta^0 = a theta* + u_diamond; ``independent_init`` seeds a
+    theta^0 independent of theta*.  ``init_dmft`` is this class.
+
     ``allocate(m)`` (called by ``run_dmft``) sizes every pool and kernel once
     for horizon m, with time as the leading axis: the ``(m+2, K)`` theta pool
     ends with theta*, the ``(m+3, K)`` eta pool with w* and z, the kernels
@@ -231,22 +238,33 @@ class DmftState:
         link: LinkFunction,
         noise: ScalarDist,
         pre: PreProcess,
-        lam_star: float,
-        overlap_a: float,
+        lam_sol: LambdaStarSolution,
         delta: float,
         gamma: float,
         lambda_ridge: float,
         mc: MonteCarloSpec,
-        signal: ScalarDist,
+        signal: Optional[ScalarDist] = None,
         independent_init: bool = False,
     ):
+        if not independent_init:
+            if not (0.0 < lam_sol.overlap_a <= 1.0):
+                raise ValueError(
+                    f"spectral DMFT needs overlap a in (0, 1], got {lam_sol.overlap_a}; "
+                    "the alignment channel is undefined without weak recovery")
+            if lam_sol.overlap_a < 0.05:
+                warnings.warn(
+                    f"overlap a={lam_sol.overlap_a:.3g} < 0.05: Monte Carlo error in "
+                    "C_eta(t, dia) may dominate", RuntimeWarning)
+        if mc.K < 1000:
+            warnings.warn(f"K={mc.K} < 1000 is small for kernel estimation",
+                          RuntimeWarning)
         self.loss = loss
         self.link = link
         self.noise = noise
-        self.signal = signal
+        self.signal = signal = signal or gaussian_dist(1.0)
         self.pre = pre
-        self.lam_star = float(lam_star)
-        self.a = float(overlap_a)
+        self.lam_star = float(lam_sol.lambda_star)
+        self.a = float(lam_sol.overlap_a)
         self.delta = float(delta)
         self.gamma = float(gamma)
         self.lambda_ridge = float(lambda_ridge)
@@ -370,11 +388,10 @@ class DmftState:
     # -- eta step ----------------------------------------------------------
 
     def step_eta(self) -> None:
-        """Compute eta^t and all eta-side kernels at t = t_eta + 1."""
+        """Compute eta^t and all eta-side kernels at t = t_eta + 1; needs
+        theta^t (``run_dmft`` keeps that order)."""
         self._check_not_released()
         t = self.t_eta + 1
-        if t > self.t_theta:
-            raise RuntimeError("theta side not advanced far enough")
         K = self.K
         ell, d1ell, d2ell = self.loss.ell, self.loss.d1ell, self.loss.d2ell
 
@@ -458,11 +475,10 @@ class DmftState:
     # -- theta step --------------------------------------------------------
 
     def step_theta(self) -> None:
-        """Compute theta^{t+1} and theta-side kernels; needs eta side at t."""
+        """Compute theta^{t+1} and theta-side kernels at t = t_theta; needs
+        the eta side at t (``run_dmft`` keeps that order)."""
         self._check_not_released()
         t = self.t_theta
-        if self.t_eta < t:
-            raise RuntimeError("eta side not advanced far enough")
         K = self.K
         gamma, lam = self.gamma, self.lambda_ridge
 
@@ -515,59 +531,19 @@ class DmftState:
         )
 
 
-def init_dmft(
-    loss: LossModel,
-    link: LinkFunction,
-    noise: ScalarDist,
-    pre: PreProcess,
-    lam_sol: LambdaStarSolution,
-    delta: float,
-    gamma: float,
-    lambda_ridge: float,
-    mc: MonteCarloSpec,
-    signal: Optional[ScalarDist] = None,
-    independent_init: bool = False,
-) -> DmftState:
-    """Seed the theta pool with theta^0 = a theta* + u_diamond and attach the
-    map T(u) = Ts(u) / (lambda* - Ts(u))."""
-    if not independent_init:
-        if not (0.0 < lam_sol.overlap_a <= 1.0):
-            raise ValueError(
-                f"spectral DMFT needs overlap a in (0, 1], got {lam_sol.overlap_a}; "
-                "the alignment channel is undefined without weak recovery")
-        if lam_sol.overlap_a < 0.05:
-            warnings.warn(
-                f"overlap a={lam_sol.overlap_a:.3g} < 0.05: Monte Carlo error in "
-                "C_eta(t, dia) may dominate", RuntimeWarning)
-    if mc.K < 1000:
-        warnings.warn(f"K={mc.K} < 1000 is small for kernel estimation",
-                      RuntimeWarning)
-    return DmftState(
-        loss=loss,
-        link=link,
-        noise=noise,
-        pre=pre,
-        lam_star=lam_sol.lambda_star,
-        overlap_a=lam_sol.overlap_a,
-        delta=delta,
-        gamma=gamma,
-        lambda_ridge=lambda_ridge,
-        mc=mc,
-        signal=signal or gaussian_dist(1.0),
-        independent_init=independent_init,
-    )
+init_dmft = DmftState    # the name its callers construct the state by
 
 
 def run_dmft(state: DmftState, m: int) -> DmftLaw:
-    """Size the state for horizon m, then alternate eta and theta updates in
-    the canonical order up to m."""
+    """Size the state for horizon m and run the steps in their one order:
+    eta^0, then theta^{t+1} and eta^{t+1} for t = 0..m-1.  Returns the law
+    at horizon m."""
     if m < 0:
         raise ValueError("horizon m must be >= 0")
     state.allocate(m)
-    while state.t_eta < m:
-        t = state.t_eta + 1
-        if state.t_theta < t:
-            state.step_theta()
+    state.step_eta()
+    for _ in range(m):
+        state.step_theta()
         state.step_eta()
     return state.law()
 

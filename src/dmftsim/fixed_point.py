@@ -224,8 +224,8 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     and stopping gives the bits that running all 200 steps gives.  (For
     hi >= 0.5 the width rule lies below one ulp, so it fires only on a
     bracket collapsed to a point.)  g(R) is evaluated in two work buffers of
-    the pool's size, allocated once per call.  A secant refinement follows
-    when |g(R)| exceeds R_RESIDUAL_TOL.
+    the pool's size, allocated once per call.  The root is the bracket's
+    midpoint.
     """
     d1 = np.asarray(d1_pool, dtype=float)
     q = np.empty_like(d1)
@@ -270,21 +270,7 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
             lo = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
-    R = 0.5 * (lo + hi)
-    if abs(g(R)) > R_RESIDUAL_TOL:
-        for _ in range(30):
-            gl, gh = g(lo), g(hi)
-            if gh == gl:
-                break
-            R = lo - gl * (hi - lo) / (gh - gl)
-            if not (lo < R < hi):
-                R = 0.5 * (lo + hi)
-            if g(R) > 0:
-                hi = R
-            else:
-                lo = R
-        R = 0.5 * (lo + hi)
-    return float(R)
+    return float(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +283,15 @@ def iterate_fixed_point(
     delta: float,
     lambda_ridge: float,
     cfg: SolverConfig,
-    init: Optional[FixedPointState] = None,
+    init: Optional[tuple[Array, float]] = None,
     signal: Optional[ScalarDist] = None,
 ) -> FixedPointState:
     """Damped self-consistent loop with common random numbers across outer
     iterations.  Neither the step size gamma nor the link enters the
-    long-time system."""
+    long-time system.  ``init`` is a warm start ``(C_theta_inf,
+    R_theta_inf)``, as ``warm_start_from_dmft`` returns it; without it the
+    loop starts from C_theta = [[1, 0.5], [0.5, 1]] and R_theta = 0.5 / (1 +
+    lambda)."""
     K = cfg.K
     rng = np.random.default_rng(cfg.seed)
     z = np.asarray(noise.sample(rng, K), dtype=float)
@@ -314,8 +303,8 @@ def iterate_fixed_point(
     g_u = rng.standard_normal(K)
 
     if init is not None:
-        C = np.array(init.C_theta_inf, dtype=float).copy()
-        R_theta = float(init.R_theta_inf)
+        C = np.array(init[0], dtype=float)
+        R_theta = float(init[1])
     else:
         C = np.array([[1.0, 0.5], [0.5, 1.0]])
         R_theta = 0.5 / (1.0 + lambda_ridge)
@@ -418,18 +407,16 @@ def iterate_fixed_point(
     return state
 
 
-def warm_start_from_dmft(dmft_state) -> FixedPointState:
-    """Seed the outer loop from the tail of a DMFT run."""
+def warm_start_from_dmft(dmft_state) -> tuple[Array, float]:
+    """The outer loop's warm start ``(C_theta_inf, R_theta_inf)`` from the
+    tail of a DMFT run at t = t_theta: the 2x2 covariance of (theta^t,
+    theta*) and the summed response sum_s R_theta(t, s)."""
     t = dmft_state.t_theta
     C = np.array([
         [dmft_state.C_theta[t, t], dmft_state.c_theta_star[t]],
         [dmft_state.c_theta_star[t], 1.0],
     ])
-    R_theta = float(np.sum(dmft_state.R_theta[t, :t]))
-    return FixedPointState(
-        R_theta_inf=R_theta, R_eta_inf=0.0, R_eta_star=0.0, Gamma_inf=0.0,
-        C_eta_inf=0.0, C_theta_inf=C,
-    )
+    return C, float(np.sum(dmft_state.R_theta[t, :t]))
 
 
 def fixed_point_residuals(state: FixedPointState, loss: LossModel,

@@ -5,18 +5,24 @@ The split point depends on the extent alone, never on the core count, and
 every split computes each output element as the unsplit kernel does (for
 the syrk split, under the measured conditions noted at ALIGN and
 SYRK_ROWS), so with one BLAS thread the results are bitwise those of the
-serial code on any number of cores.  A worker runs only numpy or BLAS on slices (and the
-fixed point's pool evaluator), which release the interpreter lock, and
-never a function that calls ``on_halves`` itself: the one worker would
-wait on itself.  numpy's ``errstate`` is per thread, so a split function
-that needs one must enter it itself.
+serial code on any number of cores.  A split that calls BLAS runs only
+when its library reports one BLAS thread (``blas_threads``); otherwise each
+half's call would start BLAS threads of its own on the same cores, so the
+whole extent runs on the caller.  A worker runs only numpy or BLAS on
+slices (and the fixed point's pool evaluator), which release the
+interpreter lock, and never a function that calls ``on_halves`` itself:
+the one worker would wait on itself.  numpy's ``errstate`` is per thread,
+so a split function that needs one must enter it itself.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import importlib
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -73,18 +79,49 @@ def on_halves(fn, n: int) -> None:
         raise err
 
 
+# package -> (file name of its bundled OpenBLAS, that library's symbol for
+# its thread count)
+_OPENBLAS = {
+    "numpy": ("libscipy_openblas64_-*.so", "scipy_openblas_get_num_threads64_"),
+    "scipy": ("libscipy_openblas-*.so", "scipy_openblas_get_num_threads"),
+}
+
+
+@functools.cache
+def blas_threads(package: str) -> int:
+    """The thread count of the OpenBLAS bundled with ``package`` ("numpy"
+    for ``np.matmul``, "scipy" for ``scipy.linalg.cython_blas``), asked once
+    through ctypes; 0 when no such library is found."""
+    pattern, symbol = _OPENBLAS[package]
+    site = Path(importlib.import_module(package).__file__).parents[1]
+    for path in sorted(site.glob(f"{package}.libs/{pattern}")):
+        return int(getattr(ctypes.CDLL(str(path)), symbol)())
+    return 0
+
+
+def _on_blas_halves(package: str, fn, n: int) -> None:
+    """``on_halves(fn, n)`` for a kernel that calls ``package``'s BLAS if
+    that BLAS runs one thread, else ``fn(0, n)`` on the caller."""
+    if blas_threads(package) == 1:
+        on_halves(fn, n)
+    else:
+        fn(0, n)
+
+
 def matvec(X: Array, v: Array, out: Array | None = None) -> Array:
     """X @ v, split by rows of X."""
     if out is None:
         out = np.empty(X.shape[0])
-    on_halves(lambda lo, hi: np.matmul(X[lo:hi], v, out=out[lo:hi]), X.shape[0])
+    _on_blas_halves("numpy", lambda lo, hi: np.matmul(X[lo:hi], v, out=out[lo:hi]),
+                    X.shape[0])
     return out
 
 
 def rmatvec(X: Array, w: Array) -> Array:
     """X.T @ w, split by columns of X."""
     out = np.empty(X.shape[1])
-    on_halves(lambda lo, hi: np.matmul(X[:, lo:hi].T, w, out=out[lo:hi]), X.shape[1])
+    _on_blas_halves("numpy", lambda lo, hi: np.matmul(X[:, lo:hi].T, w, out=out[lo:hi]),
+                    X.shape[1])
     return out
 
 
@@ -130,10 +167,10 @@ def syrk_lower(A: Array, C: Array) -> None:
     multiple of SYRK_ROWS, with h = split_point(d), the caller runs BLAS
     syrk on the diagonal triangles [0, h) and [h, d) and the worker runs
     gemm (beta = 1) on the block C[h:, :h]; all three write into C through
-    its leading dimension, so no d x d temporary is made.  Otherwise, and
-    below MIN_SPLIT, it is one syrk call over the whole triangle.  The split
-    keeps the bits of that one call under the conditions measured at ALIGN
-    and SYRK_ROWS."""
+    its leading dimension, so no d x d temporary is made.  Otherwise, below
+    MIN_SPLIT, and when scipy's BLAS runs more than one thread, it is one
+    syrk call over the whole triangle.  The split keeps the bits of that one
+    call under the conditions measured at ALIGN and SYRK_ROWS."""
     d, k = A.shape
     if not (A.flags.f_contiguous and C.flags.f_contiguous and C.shape == (d, d)
             and A.dtype == C.dtype == np.float64):
@@ -161,4 +198,4 @@ def syrk_lower(A: Array, C: Array) -> None:
     if k % SYRK_ROWS:
         part(0, d)
     else:
-        on_halves(part, d)
+        _on_blas_halves("scipy", part, d)

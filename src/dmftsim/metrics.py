@@ -51,7 +51,6 @@ def compare_empirical_vs_dmft(
     law: DmftLaw,
     C_theta: Array,
     c_theta_star: Array,
-    C_eta: Array,
 ) -> ComparisonReport:
     """Finite-size trajectory samples against the DMFT law and kernels.
 

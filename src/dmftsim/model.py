@@ -26,7 +26,6 @@ class LinkFunction:
     name: str
     eval: Callable[[Array, Array], Array]
     du: Callable[[Array, Array], Array]
-    du_bound: float
 
 
 def linear_link() -> LinkFunction:
@@ -35,7 +34,6 @@ def linear_link() -> LinkFunction:
         name="linear",
         eval=lambda u, z: u + z,
         du=lambda u, z: np.ones_like(np.asarray(u, dtype=float)),
-        du_bound=1.0,
     )
 
 
@@ -45,7 +43,6 @@ def abs_link() -> LinkFunction:
         name="abs",
         eval=lambda u, z: np.abs(u) + z,
         du=lambda u, z: np.sign(u),
-        du_bound=1.0,
     )
 
 

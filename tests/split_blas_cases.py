@@ -44,6 +44,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_both_blas_libraries_report_one_thread():
+    # otherwise the BLAS sites would run serially and the cases below would
+    # not reach the split path
+    assert halves.blas_threads("numpy") == halves.blas_threads("scipy") == 1
+
+
 @pytest.mark.parametrize("n,d", ODD_SHAPES + [(1031, 2050), (4000, 2000)])
 def test_matvec_and_rmatvec_are_bitwise_the_serial_products(n, d):
     rng = np.random.default_rng(n + d)

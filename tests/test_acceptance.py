@@ -152,7 +152,7 @@ def _run_comparison(link, noise, pre, loss, delta, gamma, lam, d, K, m,
     traj = run_gd(inst, loss, GdConfig(gamma, lam, m), theta0)
     tb, eb = empirical_joint(traj, inst.theta_star)
     return compare_empirical_vs_dmft(tb, eb, law, state.C_theta,
-                                     state.c_theta_star, state.C_eta)
+                                     state.c_theta_star)
 
 
 def test_criterion_3_dmft_vs_simulation():

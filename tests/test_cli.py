@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmftsim import cli, model
@@ -254,6 +255,31 @@ def test_amp_check_stage_reports_the_error_over_its_tolerance(tmp_path, monkeypa
         "ok": False, "reason": "equiv_error_eta = 2.5e-07 exceeds 1e-08"}
 
 
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "absent.ini"
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert f"config file not found: {path}" in capsys.readouterr().err
+
+
+def test_amp_check_subcommand_with_independent_init_exits_2(tmp_path, capsys):
+    # the stage list does not name amp-check, so only the stage itself refuses
+    path = tmp_path / "lin.ini"
+    path.write_text(LINEAR_CFG.format(out=tmp_path / "out"))
+    assert main(["amp-check", "--config", str(path)]) == 2
+    assert "field algo.init: amp-check requires spectral init" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "amp_check.json").exists()
+
+
+def test_rademacher_noise_and_signal(tmp_path):
+    path = write_cfg_with(tmp_path, {("model", "noise"): "rademacher",
+                                     ("model", "signal"): "rademacher"})
+    cfg = load_config(path)
+    for dist in (cfg.noise, cfg.signal):
+        assert dist.name == "rademacher" and dist.second_moment == 1.0
+        draws = dist.sample(np.random.default_rng(0), 1000)
+        assert set(np.unique(draws)) == {-1.0, 1.0}
+
+
 def test_amp_check_with_independent_init_is_a_config_error(tmp_path, capsys):
     # refused at load time: no stage before amp-check may run
     path = tmp_path / "lin.ini"
@@ -313,6 +339,12 @@ CASE_CONTEXT = {
     ("spectral", "quad_seed", "-1"),
     ("dmft", "seed", "-1"),
     ("fixedpoint", "seed", "-1"),
+    ("algo", "m", "3.5"),                 # unparsable
+    ("model", "n", "1"),
+    ("model", "d", "1"),
+    ("algo", "init", "random"),
+    ("fixedpoint", "warm_start", "cold"),
+    ("outputs", "stages", "spectral,plot"),
 ])
 def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
     fields = {**CASE_CONTEXT.get((section, key), {}), (section, key): value}

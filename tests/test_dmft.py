@@ -305,9 +305,8 @@ def test_release_paths_drops_path_arrays_and_keeps_kernels():
     assert (a.fit_slope, a.tti_dev) == (b.fit_slope, b.tti_dev)
     ta, tb = onsager_from_dmft(rel, m), onsager_from_dmft(full, m)
     assert (ta.xi.tobytes(), ta.zeta.tobytes()) == (tb.xi.tobytes(), tb.zeta.tobytes())
-    wa, wb = warm_start_from_dmft(rel), warm_start_from_dmft(full)
-    assert (wa.R_theta_inf, wa.C_theta_inf.tobytes()) == (
-        wb.R_theta_inf, wb.C_theta_inf.tobytes())
+    (Ca, Ra), (Cb, Rb) = warm_start_from_dmft(rel), warm_start_from_dmft(full)
+    assert (Ra, Ca.tobytes()) == (Rb, Cb.tobytes())
 
     for step in (rel.step_eta, rel.step_theta, rel.law):
         with pytest.raises(RuntimeError, match="released"):

@@ -419,9 +419,7 @@ def test_ridge_fixed_point_matches_simulation():
 # ---------------------------------------------------------------------------
 
 def pr_warm_init(c12=0.998, R=0.03):
-    C = np.array([[1.0, c12], [c12, 1.0]])
-    return FixedPointState(R_theta_inf=R, R_eta_inf=0.0, R_eta_star=0.0,
-                           Gamma_inf=0.0, C_eta_inf=0.0, C_theta_inf=C)
+    return np.array([[1.0, c12], [c12, 1.0]]), R
 
 
 def test_pr_fixed_point_converges_to_truth_branch():

@@ -79,9 +79,32 @@ def test_worker_exception_reraises_in_caller_and_helper_recovers():
         halves.on_halves(fail_lower, 2000)
     assert done == [0, 960]     # the worker's half finished before the raise
 
-    X = np.arange(2000 * 3, dtype=float).reshape(2000, 3)
-    v = np.array([1.0, -2.0, 0.5])
-    assert same_bits(halves.matvec(X, v), X @ v)
+    x, out = np.arange(2000, dtype=float), np.empty(2000)
+    halves.on_halves(lambda lo, hi: np.multiply(x[lo:hi], 3.0, out=out[lo:hi]), x.size)
+    assert same_bits(out, 3.0 * x)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_sites_split_only_under_one_blas_thread(monkeypatch, threads):
+    # with more than one BLAS thread each half's BLAS call would start BLAS
+    # threads of its own, so no BLAS site hands a half to the worker
+    used = []
+    worker = halves._worker
+    monkeypatch.setattr(halves, "_worker", lambda: used.append(1) or worker())
+    monkeypatch.setattr(halves, "blas_threads", lambda package: threads)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2 * halves.MIN_SPLIT, halves.MIN_SPLIT + 1))
+    v, w = rng.standard_normal(X.shape[1]), rng.standard_normal(X.shape[0])
+    A = np.asfortranarray(rng.standard_normal((halves.MIN_SPLIT + 1, halves.SYRK_ROWS)))
+    C = np.zeros((A.shape[0], A.shape[0]), order="F")
+    halves.syrk_lower(A, C)
+    got = halves.matvec(X, v), halves.rmatvec(X, w)
+    assert len(used) == (3 if threads == 1 else 0)
+    # the serial form is the unsplit call itself; the split form keeps its
+    # bits only when the BLAS really runs one thread (split_blas_cases.py)
+    check = same_bits if threads > 1 else np.allclose
+    assert check(got[0], X @ v) and check(got[1], X.T @ w)
+    assert np.allclose(np.tril(C), np.tril(A @ A.T))
 
 
 def test_concurrent_callers_share_the_worker():

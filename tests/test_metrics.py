@@ -84,7 +84,7 @@ def test_compare_law_against_itself(pr_law):
                                  law.eta_samples[:, -2],
                                  law.eta_samples[:, -1]])
     rep = compare_empirical_vs_dmft(theta_block, eta_block, law,
-                                    st.C_theta, st.c_theta_star, st.C_eta)
+                                    st.C_theta, st.c_theta_star)
     assert np.all(rep.w2_theta == 0.0)
     assert np.all(rep.w2_eta == 0.0)
     assert rep.cov_disc_theta <= 1e-12
@@ -96,7 +96,7 @@ def test_compare_horizon_mismatch(pr_law):
     with pytest.raises(ValueError, match="horizon"):
         compare_empirical_vs_dmft(law.theta_samples[:, :-1],
                                   law.eta_samples, law,
-                                  st.C_theta, st.c_theta_star, st.C_eta)
+                                  st.C_theta, st.c_theta_star)
 
 
 def test_long_time_compare_requires_convergence():
