@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmft import DmftLaw, DmftState, fmean
+from .dmft import DmftState, fmean
 from .gd import Trajectory
 from .halves import matvec, rmatvec
 from .model import LossModel, ModelInstance, PreProcess
@@ -208,18 +208,16 @@ def verify_equivalence(amp: AmpRun, gd: Trajectory) -> tuple[float, float]:
     return float(err_theta), float(err_eta)
 
 
-def se_check(amp: AmpRun, law: DmftLaw, theta0: Array, theta_star: Array,
-             delta: float) -> dict:
+def se_check(amp: AmpRun, state: DmftState, theta0: Array,
+             theta_star: Array) -> dict:
     """State-evolution spot checks: empirical means of test functions of the
-    AMP iterates against the matching DMFT-law expectations.
+    AMP iterates against the matching means over the DMFT state's pools.
 
     The correspondence maps the first column of a^i to the DMFT effective
     noise u^{i-1}/delta, theta^0 to a theta* + u_diamond, and theta* to
     theta*.
     """
-    d = theta0.shape[0]
-    K = law.theta_samples.shape[0]
-    m = min(len(amp.a_iters), law.u_samples.shape[1])
+    m = min(len(amp.a_iters), state.m)
     report: dict = {}
 
     def entry(name, amp_val, dmft_val, tol):
@@ -231,17 +229,17 @@ def se_check(amp: AmpRun, law: DmftLaw, theta0: Array, theta_star: Array,
             "ok": bool(abs(amp_val - dmft_val) <= tol),
         }
 
-    base_tol = 3.0 / np.sqrt(min(d, K))
+    base_tol = 3.0 / np.sqrt(min(theta0.shape[0], state.K))
     entry("mean_theta_star", np.mean(theta_star),
-          fmean(law.theta_samples[:, -1]), base_tol)
+          fmean(state.theta_star), base_tol)
     entry("second_moment_theta0", np.mean(theta0**2),
-          fmean(law.theta_samples[:, 0] ** 2), 3.0 * base_tol)
-    if amp.theta_rec.shape[0] > 1 and law.theta_samples.shape[1] >= 3:
+          fmean(state.thetas[0] ** 2), 3.0 * base_tol)
+    if amp.theta_rec.shape[0] > 1 and state.m >= 1:
         entry("overlap_theta1_star", np.mean(amp.theta_rec[1] * theta_star),
-              fmean(law.theta_samples[:, 1] * law.theta_samples[:, -1]), 0.03)
+              fmean(state.thetas[1] * state.theta_star), 0.03)
     for i in range(1, m + 1):
         a_col = amp.a_iters[i - 1]
-        u_scaled = law.u_samples[:, i - 1] / delta
+        u_scaled = state.u_proc.values[i] / state.delta
         ref = fmean(u_scaled**2)
         entry(f"second_moment_a{i}", np.mean(a_col**2), ref,
               6.0 * base_tol * max(1.0, ref))

@@ -64,8 +64,8 @@ def _write_columns(path: Path, index: str, cols: dict, start: int = 0) -> None:
 
 def _write_samples(path_base: Path, arr: np.ndarray) -> Path:
     path = path_base.with_suffix(".npy")
-    # the law's sample arrays are transposed views of the DMFT pools; save
-    # them C-ordered so the file does not depend on the pool layout
+    # the sample matrices are transposed views of the DMFT pools; save them
+    # C-ordered so the file does not depend on the pool layout
     np.save(path, np.ascontiguousarray(arr))
     return path
 
@@ -109,25 +109,25 @@ class Runner:
         return run_gd(self.inst, self.cfg.loss, self.cfg.gd, self.theta0)
 
     @cached_property
-    def dmft(self) -> tuple[dmft_mod.DmftState, dmft_mod.DmftLaw]:
-        """The DMFT state run to horizon m, with its path pools released,
-        and the law that run returns."""
+    def dmft(self) -> dmft_mod.DmftState:
+        """The DMFT state run to horizon m, released down to its sample
+        pools, kernels and responses."""
         cfg = self.cfg
         state = dmft_mod.init_dmft(
             cfg.loss, cfg.link, cfg.noise, cfg.pre,
             self.lam_sol, cfg.delta, cfg.gd.gamma, cfg.gd.lambda_ridge,
             cfg.monte_carlo, signal=cfg.signal,
             independent_init=(cfg.init == "independent"))
-        law = dmft_mod.run_dmft(state, cfg.gd.m)
+        dmft_mod.run_dmft(state, cfg.gd.m)
         state.release_paths()
-        return state, law
+        return state
 
     @cached_property
     def fixed_point(self):
         cfg = self.cfg
         init = None
         if cfg.fp_warm_start == "dmft":
-            init = fp_mod.warm_start_from_dmft(self.dmft[0])
+            init = fp_mod.warm_start_from_dmft(self.dmft)
         return fp_mod.iterate_fixed_point(
             cfg.loss, cfg.noise, cfg.delta, cfg.gd.lambda_ridge, cfg.solver,
             init=init, signal=cfg.signal)
@@ -174,7 +174,7 @@ class Runner:
         return {"ok": True}
 
     def stage_dmft(self) -> dict:
-        state, law = self.dmft
+        state = self.dmft
         out = self.out
         m = state.t_eta
         _write_matrix_csv(out / "C_theta.csv", state.C_theta)
@@ -190,8 +190,8 @@ class Runner:
             "R_eta_diamond2": state.R_eta_dd,
             "Gamma": state.Gamma,
         })
-        _write_samples(out / "dmft_theta_samples", law.theta_samples)
-        _write_samples(out / "dmft_eta_samples", law.eta_samples)
+        _write_samples(out / "dmft_theta_samples", state.thetas.T)
+        _write_samples(out / "dmft_eta_samples", state.etas.T)
         diag = {
             "C_eta_diamond_diamond": state.C_eta_dia_dia,
             "overlap_a": state.a,
@@ -236,15 +236,14 @@ class Runner:
         cfg = self.cfg
         if cfg.init != "spectral":
             raise ConfigError("field algo.init: amp-check requires spectral init")
-        state, law = self.dmft
+        state = self.dmft
         gd = cfg.gd
         table = amp_mod.onsager_from_dmft(state, gd.m)
         run = amp_mod.run_spectral_amp(
             self.inst, cfg.pre, self.lam_sol, self.theta0,
             table, cfg.loss, gd.gamma, gd.lambda_ridge, gd.m)
         err_theta, err_eta = amp_mod.verify_equivalence(run, self.traj)
-        se = amp_mod.se_check(run, law, self.theta0,
-                              self.inst.theta_star, cfg.delta)
+        se = amp_mod.se_check(run, state, self.theta0, self.inst.theta_star)
         record = {
             "equiv_error_theta": err_theta,
             "equiv_error_eta": err_eta,
@@ -258,9 +257,7 @@ class Runner:
     def stage_compare(self) -> dict:
         cfg = self.cfg
         tb, eb = empirical_joint(self.traj, self.inst.theta_star)
-        state, law = self.dmft
-        rep = metrics.compare_empirical_vs_dmft(
-            tb, eb, law, state.C_theta, state.c_theta_star)
+        rep = metrics.compare_empirical_vs_dmft(tb, eb, self.dmft)
         record = {
             "w2_theta": rep.w2_theta,
             "w2_eta": rep.w2_eta,
@@ -300,14 +297,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     The order is spectral, simulate, dmft, amp-check, fixed-point, compare,
     except that dmft runs first when amp-check is requested.  amp-check is
-    the one stage that reads both the design matrix X and the DMFT law, so
-    in the default order X would still be held while the DMFT builds its
-    path pools; run ahead of the instance draw, the DMFT has freed its pools
-    before X exists.  The DMFT shares only the config with the finite-size
-    stages, so the artifacts are the same bytes in either order, but a
-    failing DMFT then stops the run before spectral.  Without amp-check the
-    DMFT keeps its place after simulate, where X is already dropped and its
-    retained law pools do not sit under the M_n build."""
+    the one stage that reads both the design matrix X and the DMFT state's
+    sample pools, so in the default order X would still be held while the
+    DMFT builds its per-path step arrays; run ahead of the instance draw,
+    the DMFT has released those arrays before X exists.  The DMFT shares
+    only the config with the finite-size stages, so the artifacts are the
+    same bytes in either order, but a failing DMFT then stops the run
+    before spectral.  Without amp-check the DMFT keeps its place after
+    simulate, where X is already dropped and its retained sample pools do
+    not sit under the M_n build."""
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = Runner(cfg, out_dir)
     order = list(STAGE_NAMES)

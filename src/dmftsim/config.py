@@ -82,6 +82,16 @@ _FIELDS = {
 }
 
 
+# keys read by one choice of their section's name field: (section, key) ->
+# (name field, that choice); given with another choice, a key is refused
+_READ_ONLY_WITH = {
+    ("model", "noise_sigma"): ("noise", "gaussian"),
+    ("model", "noise_value"): ("noise", "point"),
+    ("loss", "l_cut"): ("name", "rwf"), ("loss", "u_cut"): ("name", "rwf"),
+    ("loss", "scale"): ("name", "linear-pseudo-huber"),
+}
+
+
 def _get(cp, section, key, cast, required=False):
     if cp.has_option(section, key):
         raw = cp.get(section, key)
@@ -145,8 +155,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         make_dist, _get(cp, "model", "noise", str, required=True),
         sigma=_get(cp, "model", "noise_sigma", float),
         value=_get(cp, "model", "noise_value", float))
-    signal = _build({"name": "model.signal"}, make_dist,
-                    _get(cp, "model", "signal", str))
+    signal_name = _get(cp, "model", "signal", str)
+    if signal_name == "point":    # signal laws take no value: always 0
+        raise ConfigError("field model.signal: a point mass at 0 carries no "
+                          "signal; use gaussian or rademacher")
+    signal = _build({"name": "model.signal"}, make_dist, signal_name)
 
     loss_name = _get(cp, "loss", "name", str, required=True)
     rwf = loss_name == "rwf"
@@ -157,6 +170,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         L_cut=_get(cp, "loss", "l_cut", float, required=rwf),
         U_cut=_get(cp, "loss", "u_cut", float, required=rwf),
         scale=_get(cp, "loss", "scale", float))
+    for (section, key), (name_key, reader) in _READ_ONLY_WITH.items():
+        if cp.has_option(section, key) and cp[section][name_key] != reader:
+            raise ConfigError(f"field {section}.{key}: read only with {section}."
+                              f"{name_key} = {reader}, got {cp[section][name_key]!r}")
     pre_name = _get(cp, "loss", "preprocess", str)
     pre = _build(
         {"name": "loss.preprocess", "M_clip": "loss.m_clip"},

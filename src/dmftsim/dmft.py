@@ -6,6 +6,7 @@ carries (z, w*, w^0..w^t) and per-path response recursions; the theta side
 carries (theta*, u_diamond, u^0..u^t).  Gaussian coordinates are generated
 through an incrementally grown Cholesky factor applied to per-path standard
 normal innovations, so earlier coordinates never change as the horizon grows.
+The state's ``(t, K)`` pools are the law; its readers take the state.
 Near the fixed point the covariance of these coordinates becomes numerically
 rank-deficient; a coordinate that is linearly dependent on the earlier ones to
 working precision gets a zero Cholesky pivot, and a covariance block that is
@@ -88,21 +89,6 @@ class MonteCarloSpec:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-
-
-@dataclass(frozen=True)
-class DmftLaw:
-    """Sample pools of the DMFT law at horizon m.
-
-    Every array is a view of the state's pools, not a copy: the sample
-    matrices are the transposes of the ``(t, K)`` pools, so they are
-    Fortran-ordered."""
-
-    theta_samples: Array   # (K, m+2): theta^0..theta^m, theta*
-    eta_samples: Array     # (K, m+3): eta^0..eta^m, w*, z
-    u_diamond: Array       # (K,)
-    u_samples: Array       # (K, m): u^0..u^{m-1}
-    overlap_a: float
 
 
 class IncrementalGaussian:
@@ -227,9 +213,9 @@ class DmftState:
     are ``(m+1, m+1)`` matrices, and the seven channels ``c_theta_star``,
     ``r_theta_dia``, ``c_eta_dia``, ``R_eta_star``, ``R_eta_dia``,
     ``R_eta_dd`` and ``e_d1`` are ``(m+1,)`` arrays indexed by t;
-    ``Gamma = delta * e_d1``.  The steps write one row or entry at a time,
-    and the law returned by ``law()`` holds views of these pools.  The
-    per-path eta responses stay as ``r_eta_ts[t]`` of shape ``(t, K)``.
+    ``Gamma = delta * e_d1``.  The steps write one row or entry at a time;
+    the theta and eta pools and ``u_proc.values`` (u_diamond, u^0..) are
+    the law.  The per-path eta responses stay as ``r_eta_ts[t]``, ``(t, K)``.
     """
 
     def __init__(
@@ -357,22 +343,21 @@ class DmftState:
         return self.delta * self.e_d1
 
     def release_paths(self) -> None:
-        """Drop every K-path array: the sample pools, the per-path
-        responses and constants, and both processes' values and
-        innovations.  Kernels, responses, ``min_eig_before_jitter`` and
-        ``zero_pivots`` stay; the state can no longer be stepped."""
-        self.thetas = self.etas = self.ell_vals = self.d1_vals = None
-        self.z = self.theta_star = self.u_dia = self.w_star = None
+        """Drop every K-path array that only the steps read.  The sample
+        pools ``thetas``, ``etas`` and ``u_proc.values`` (and their views
+        ``z``, ``theta_star``, ``u_dia``), kernels, responses and PSD
+        diagnostics stay; the state can no longer be stepped."""
+        self.ell_vals = self.d1_vals = self.w_star = None
         self.y = self.Ty = self.Ts_y = self.dd_source = None
         self.r_eta_ts, self.r_eta_star, self.r_eta_dia, self.r_eta_dd = {}, [], [], []
-        for proc in (self.w_proc, self.u_proc):
-            proc.innovations = proc.values = None
+        self.w_proc.innovations = self.w_proc.values = None
+        self.u_proc.innovations = None
         self.released = True
 
     def _check_not_released(self) -> None:
         if self.released:
             raise RuntimeError("DMFT state was released by release_paths(); "
-                               "its path pools are gone and it cannot be stepped")
+                               "its step arrays are gone and it cannot be stepped")
 
     # -- helpers ----------------------------------------------------------
 
@@ -520,24 +505,13 @@ class DmftState:
         self.c_theta_star[t + 1] = fmean(theta_next * self.theta_star)
         self.t_theta = t + 1
 
-    def law(self) -> DmftLaw:
-        self._check_not_released()
-        return DmftLaw(
-            theta_samples=self.thetas.T,
-            eta_samples=self.etas.T,
-            u_diamond=self.u_dia,
-            u_samples=self.u_proc.values[1:].T,
-            overlap_a=self.a,
-        )
-
-
 init_dmft = DmftState    # the name its callers construct the state by
 
 
-def run_dmft(state: DmftState, m: int) -> DmftLaw:
+def run_dmft(state: DmftState, m: int) -> None:
     """Size the state for horizon m and run the steps in their one order:
-    eta^0, then theta^{t+1} and eta^{t+1} for t = 0..m-1.  Returns the law
-    at horizon m."""
+    eta^0, then theta^{t+1} and eta^{t+1} for t = 0..m-1.  The state's
+    pools then hold the law at horizon m."""
     if m < 0:
         raise ValueError("horizon m must be >= 0")
     state.allocate(m)
@@ -545,7 +519,6 @@ def run_dmft(state: DmftState, m: int) -> DmftLaw:
     for _ in range(m):
         state.step_theta()
         state.step_eta()
-    return state.law()
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +531,6 @@ class TtiReport:
     dia_theta: Array          # |R_theta(t, dia)|
     dia_eta: Array            # |R_eta(t, dia)|
     dd_eta: Array             # |R_eta(t, dd)|
-    fit_base_t: int
     fit_slope: float
     fit_r2: float
     tti_dev: dict             # lag s -> max |R(t+s,t) - R(t'+s,t')| over window
@@ -602,7 +574,6 @@ def tti_diagnostics(state: DmftState, max_lag: int = 5,
         dia_theta=np.abs(state.r_theta_dia[: m + 1]),
         dia_eta=np.abs(state.R_eta_dia[: m + 1]),
         dd_eta=np.abs(state.R_eta_dd[: m + 1]),
-        fit_base_t=fit_base,
         fit_slope=slope,
         fit_r2=r2,
         tti_dev=tti_dev,

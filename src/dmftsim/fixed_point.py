@@ -167,16 +167,16 @@ def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
                 z: Array, half) -> Array:
     """Bracketed fallback: scan a grid over [w_inf - half, w_inf + half],
     pick the cell closest to w_inf where F crosses upward (a stable root,
-    F' > 0), bisect inside it."""
+    F' > 0), bisect inside it.  The bracket is half = |R| ell_bound; a loss
+    without ``ell_bound`` has none, and is refused with NoRootError."""
+    if half is None:
+        raise NoRootError(
+            f"loss {loss.name!r} has no ell_bound to bracket the eta root of "
+            f"{w_inf.size} samples that Newton left unsolved or unstable")
+
     def F(eta):
         return eta + R * np.asarray(loss.ell(eta, w_star, z), dtype=float) - w_inf
 
-    if half is None:
-        half = 1.0
-        for _ in range(60):
-            if np.all(np.signbit(F(w_inf - half)) != np.signbit(F(w_inf + half))):
-                break
-            half *= 2.0
     offsets = np.linspace(-1.0, 1.0, 65) * half
     vals = np.stack([F(w_inf + off) for off in offsets], axis=1)  # (k, 65)
     neg = np.signbit(vals)

@@ -1,5 +1,6 @@
-"""Wasserstein-2 diagnostics comparing finite-size runs against DMFT laws
-and long-time fixed points."""
+"""Wasserstein-2 diagnostics comparing finite-size runs against the DMFT
+law, read from the DMFT state's sample pools and kernels, and against
+long-time fixed points."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmft import DmftLaw
+from .dmft import DmftState
 
 Array = np.ndarray
 
@@ -48,42 +49,42 @@ class ComparisonReport:
 def compare_empirical_vs_dmft(
     theta_block: Array,
     eta_block: Array,
-    law: DmftLaw,
-    C_theta: Array,
-    c_theta_star: Array,
+    state: DmftState,
 ) -> ComparisonReport:
-    """Finite-size trajectory samples against the DMFT law and kernels.
+    """Finite-size trajectory samples against the DMFT state's pools and
+    kernels at its horizon m.
 
     ``theta_block`` has d rows of (theta^0..theta^m, theta*); ``eta_block``
     has n rows of (eta^0..eta^m, eta*, z).  Phase-retrieval callers must
     sign-align before calling.
     """
-    m = law.theta_samples.shape[1] - 2
+    m = state.m
     if theta_block.shape[1] != m + 2 or eta_block.shape[1] != m + 3:
         raise ValueError("horizon mismatch between trajectory and DMFT law")
     d = theta_block.shape[0]
 
     w2_theta = np.array([
-        w2_1d(theta_block[:, t], law.theta_samples[:, t]) for t in range(m + 1)
+        w2_1d(theta_block[:, t], state.thetas[t]) for t in range(m + 1)
     ])
     w2_eta = np.array([
-        w2_1d(eta_block[:, t], law.eta_samples[:, t]) for t in range(m + 1)
+        w2_1d(eta_block[:, t], state.etas[t]) for t in range(m + 1)
     ])
 
     iters = theta_block[:, : m + 1]
     emp_C = iters.T @ iters / d
-    cov_disc_theta = float(np.max(np.abs(emp_C - C_theta[: m + 1, : m + 1])))
+    cov_disc_theta = float(np.max(np.abs(emp_C - state.C_theta)))
 
     eta_iters = eta_block[:, : m + 1]
     n = eta_block.shape[0]
     # C_eta(r,s) is delta E[ell ell']; the empirical channel counterpart is the
     # Gram of ell values, so compare raw second moments of eta instead
     emp_eta_gram = eta_iters.T @ eta_iters / n
-    dmft_eta_gram = law.eta_samples[:, : m + 1].T @ law.eta_samples[:, : m + 1] / law.eta_samples.shape[0]
+    E = state.etas[: m + 1]
+    dmft_eta_gram = E @ E.T / state.K
     cov_disc_eta = float(np.max(np.abs(emp_eta_gram - dmft_eta_gram)))
 
     overlap_emp = theta_block[:, : m + 1].T @ theta_block[:, m + 1] / d
-    overlap_dmft = np.asarray(c_theta_star[: m + 1], dtype=float)
+    overlap_dmft = state.c_theta_star
     return ComparisonReport(
         w2_theta=w2_theta,
         w2_eta=w2_eta,

@@ -140,7 +140,7 @@ def _run_comparison(link, noise, pre, loss, delta, gamma, lam, d, K, m,
     state = init_dmft(loss, link, noise, pre, sol, delta, gamma, lam,
                       MonteCarloSpec(K=K, seed=dmft_seed),
                       independent_init=independent)
-    law = run_dmft(state, m)
+    run_dmft(state, m)
     inst = make_instance(int(delta * d), d, inst_seed, link, noise,
                          gaussian_dist())
     if independent:
@@ -151,8 +151,7 @@ def _run_comparison(link, noise, pre, loss, delta, gamma, lam, d, K, m,
         theta0 = spectral_estimator(inst, pre).theta0
     traj = run_gd(inst, loss, GdConfig(gamma, lam, m), theta0)
     tb, eb = empirical_joint(traj, inst.theta_star)
-    return compare_empirical_vs_dmft(tb, eb, law, state.C_theta,
-                                     state.c_theta_star)
+    return compare_empirical_vs_dmft(tb, eb, state)
 
 
 def test_criterion_3_dmft_vs_simulation():

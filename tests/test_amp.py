@@ -39,8 +39,8 @@ def setup():
     traj = run_gd(inst, RWF, GdConfig(gamma, lam, m), spec.theta0)
     state = init_dmft(RWF, link, noise, PRE3, sol, n / d, gamma, lam,
                       MonteCarloSpec(K=8000, seed=5))
-    law = run_dmft(state, m)
-    return dict(inst=inst, spec=spec, traj=traj, state=state, law=law,
+    run_dmft(state, m)
+    return dict(inst=inst, spec=spec, traj=traj, state=state,
                 sol=sol, m=m, gamma=gamma, lam=lam)
 
 
@@ -221,11 +221,11 @@ def test_se_check_moderate_size():
     traj = run_gd(inst, RWF, GdConfig(gamma, lam, m), spec.theta0)
     state = init_dmft(RWF, link, noise, PRE3, sol, n / d, gamma, lam,
                       MonteCarloSpec(K=30000, seed=9))
-    law = run_dmft(state, m)
+    run_dmft(state, m)
     table = onsager_from_dmft(state, m)
     run = run_spectral_amp(inst, PRE3, sol, spec.theta0, table, RWF,
                            gamma, lam, m)
-    report = se_check(run, law, spec.theta0, inst.theta_star, n / d)
+    report = se_check(run, state, spec.theta0, inst.theta_star)
     assert report["second_moment_theta0"]["ok"]
     assert report["mean_theta_star"]["ok"]
     assert report["overlap_theta1_star"]["diff"] <= 0.03

@@ -272,6 +272,7 @@ def test_amp_check_subcommand_with_independent_init_exits_2(tmp_path, capsys):
 
 def test_rademacher_noise_and_signal(tmp_path):
     path = write_cfg_with(tmp_path, {("model", "noise"): "rademacher",
+                                     ("model", "noise_value"): None,
                                      ("model", "signal"): "rademacher"})
     cfg = load_config(path)
     for dist in (cfg.noise, cfg.signal):
@@ -295,21 +296,28 @@ def test_amp_check_with_independent_init_is_a_config_error(tmp_path, capsys):
 
 
 def write_cfg_with(tmp_path, fields, **kw):
-    """write_cfg with the {(section, key): value} ``fields`` overridden."""
+    """write_cfg with the {(section, key): value} ``fields`` overridden; a
+    value of None removes the key."""
     cp = configparser.ConfigParser()
     cp.read(write_cfg(tmp_path, **kw))
     for (section, key), value in fields.items():
-        cp.set(section, key, value)
+        if value is None:
+            cp.remove_option(section, key)
+        else:
+            cp.set(section, key, value)
     path = tmp_path / "override.ini"
     with open(path, "w") as fh:
         cp.write(fh)
     return path
 
 
-# fields a case also sets, so that the model it builds reads its field
+# fields a case also sets, so that the model it builds reads its field, and
+# removes (None), so that the file holds no key that model does not read
 CASE_CONTEXT = {
-    ("model", "noise_sigma"): {("model", "noise"): "gaussian"},
-    ("loss", "scale"): {("loss", "name"): "linear-pseudo-huber"},
+    ("model", "noise_sigma"): {("model", "noise"): "gaussian",
+                               ("model", "noise_value"): None},
+    ("loss", "scale"): {("loss", "name"): "linear-pseudo-huber",
+                        ("loss", "l_cut"): None, ("loss", "u_cut"): None},
 }
 
 
@@ -345,6 +353,7 @@ CASE_CONTEXT = {
     ("algo", "init", "random"),
     ("fixedpoint", "warm_start", "cold"),
     ("outputs", "stages", "spectral,plot"),
+    ("model", "signal", "point"),         # a point mass at 0: no signal
 ])
 def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
     fields = {**CASE_CONTEXT.get((section, key), {}), (section, key): value}
@@ -354,6 +363,39 @@ def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, va
     assert code == 2
     assert f"field {section}.{key}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields,field", [
+    ({("model", "noise_sigma"): "nan"}, "model.noise_sigma"),
+    ({("model", "noise_sigma"): "-1"}, "model.noise_sigma"),
+    ({("model", "noise"): "gaussian"}, "model.noise_value"),
+    ({("loss", "name"): "linear-pseudo-huber", ("loss", "u_cut"): None}, "loss.l_cut"),
+    ({("loss", "name"): "linear-pseudo-huber", ("loss", "l_cut"): None}, "loss.u_cut"),
+    ({("loss", "scale"): "nan"}, "loss.scale"),
+], ids=["noise_sigma-nan", "noise_sigma--1", "noise_value", "l_cut", "u_cut",
+        "scale-nan"])
+def test_key_the_chosen_name_does_not_read_is_a_config_error(tmp_path, capsys,
+                                                             fields, field):
+    # point noise reads only noise_value, gaussian only noise_sigma; rwf
+    # reads only l_cut and u_cut, linear-pseudo-huber only scale
+    path = write_cfg_with(tmp_path, fields)
+    with pytest.raises(ConfigError, match=f"field {field}: read only with"):
+        load_config(path)
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert f"field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0].split("```")[0])
+    cfg = load_config(path)
+    assert (cfg.link.name, cfg.loss.name, cfg.init) == ("abs", "rwf", "spectral")
+    assert cfg.pipeline_stages == ("spectral", "simulate", "dmft", "amp-check",
+                                   "fixed-point", "compare")
 
 
 def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
@@ -461,9 +503,10 @@ def test_pipeline_drops_design_matrix_after_its_last_reader(
 ])
 def test_dmft_runs_before_the_instance_draw_only_with_amp_check(
         tmp_path, monkeypatch, stages, order):
-    """amp-check reads both X and the DMFT law; run_dmft then returns, and
-    its path pools are freed, before X is drawn.  Otherwise the stages keep
-    the order spectral, simulate, dmft, amp-check, fixed-point, compare."""
+    """amp-check reads both X and the DMFT state's sample pools; run_dmft
+    then returns, and its per-path step arrays are released, before X is
+    drawn.  Otherwise the stages keep the order spectral, simulate, dmft,
+    amp-check, fixed-point, compare."""
     events = []
 
     def recorded(name, fn):

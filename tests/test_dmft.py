@@ -232,10 +232,10 @@ def test_fmean_special_values_match_fsum(values):
 def test_bitwise_determinism():
     a = pr_state(K=3000, seed=9)
     b = pr_state(K=3000, seed=9)
-    la = run_dmft(a, 5)
-    lb = run_dmft(b, 5)
-    assert np.array_equal(la.theta_samples, lb.theta_samples)
-    assert np.array_equal(la.eta_samples, lb.eta_samples)
+    run_dmft(a, 5)
+    run_dmft(b, 5)
+    assert np.array_equal(a.thetas, b.thetas)
+    assert np.array_equal(a.etas, b.etas)
     assert np.array_equal(a.C_theta, b.C_theta)
     assert np.array_equal(a.C_eta, b.C_eta)
     assert np.array_equal(a.R_theta, b.R_theta)
@@ -288,18 +288,24 @@ def test_release_paths_drops_path_arrays_and_keeps_kernels():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         full = long_time_state(K=K)
-        law_full = run_dmft(full, m)
+        run_dmft(full, m)
         rel = long_time_state(K=K)
-        law_rel = run_dmft(rel, m)
+        run_dmft(rel, m)
     assert rel.w_proc.zero_pivots or rel.u_proc.zero_pivots
-    assert _path_arrays(rel, K) and _path_arrays(rel.w_proc, K)
+    assert {"ell_vals", "r_eta_ts", "dd_source"} <= set(_path_arrays(rel, K))
+    assert _path_arrays(rel.w_proc, K) == ["innovations", "values"]
     rel.release_paths()
-    assert _path_arrays(rel, K) == []
-    assert _path_arrays(rel.w_proc, K) == [] and _path_arrays(rel.u_proc, K) == []
+    # only the sample pools and their row views stay
+    assert _path_arrays(rel, K) == ["etas", "theta_star", "thetas", "u_dia", "z"]
+    assert _path_arrays(rel.w_proc, K) == [] and _path_arrays(rel.u_proc, K) == ["values"]
+    for view, pool in ((rel.z, rel.etas), (rel.theta_star, rel.thetas),
+                       (rel.u_dia, rel.u_proc.values)):
+        assert np.shares_memory(view, pool)
 
     assert _kernel_bytes(rel) == _kernel_bytes(full)
-    for name in ("theta_samples", "eta_samples", "u_diamond", "u_samples"):
-        assert getattr(law_rel, name).tobytes() == getattr(law_full, name).tobytes()
+    for a, b in ((rel.thetas, full.thetas), (rel.etas, full.etas),
+                 (rel.u_proc.values, full.u_proc.values)):
+        assert a.tobytes() == b.tobytes()
     # the readers after the DMFT stage see the same numbers
     a, b = tti_diagnostics(rel), tti_diagnostics(full)
     assert (a.fit_slope, a.tti_dev) == (b.fit_slope, b.tti_dev)
@@ -308,7 +314,7 @@ def test_release_paths_drops_path_arrays_and_keeps_kernels():
     (Ca, Ra), (Cb, Rb) = warm_start_from_dmft(rel), warm_start_from_dmft(full)
     assert (Ra, Ca.tobytes()) == (Rb, Cb.tobytes())
 
-    for step in (rel.step_eta, rel.step_theta, rel.law):
+    for step in (rel.step_eta, rel.step_theta):
         with pytest.raises(RuntimeError, match="released"):
             step()
 
@@ -393,26 +399,25 @@ def test_amplified_zero_pivot_is_refused():
         assert g.min_eig_before_jitter[-1] >= -1e-8
 
 
-def test_law_is_a_view_of_the_pools_and_saves_c_ordered_bytes(tmp_path):
+def test_sample_files_are_c_ordered_bytes_of_the_transposed_pools(tmp_path):
+    # the dmft stage writes thetas.T and etas.T, Fortran-ordered views
     st = pr_state(K=1500, seed=8)
-    law = run_dmft(st, 3)
-    for name, pool in (("theta_samples", st.thetas), ("eta_samples", st.etas),
-                       ("u_diamond", st.u_proc.values),
-                       ("u_samples", st.u_proc.values)):
-        assert np.shares_memory(getattr(law, name), pool), name
-    for name in ("theta_samples", "eta_samples"):
-        arr = getattr(law, name)
+    run_dmft(st, 3)
+    for name in ("thetas", "etas"):
+        arr = getattr(st, name).T
+        assert arr.flags.f_contiguous and not arr.flags.c_contiguous
         written = _write_samples(tmp_path / name, arr)
         np.save(tmp_path / "c_ordered.npy", np.array(arr, order="C"))
         assert written.read_bytes() == (tmp_path / "c_ordered.npy").read_bytes()
 
 
 def test_dmft_law_shapes():
+    # the law at horizon 0: theta^0 and theta*; eta^0, w* and z; u_diamond
     st = pr_state(K=1500, seed=8)
-    law = run_dmft(st, 0)
-    assert law.theta_samples.shape == (1500, 2)
-    assert law.eta_samples.shape == (1500, 3)
-    assert law.u_samples.shape == (1500, 0)
+    run_dmft(st, 0)
+    assert st.thetas.shape == (2, 1500)
+    assert st.etas.shape == (3, 1500)
+    assert st.u_proc.values.shape == (1, 1500)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
 
 def ridge_loss():
     # ell(a, b, c) = a - b: ridge regression residual on the noiseless
-    # linear model; unbounded ell exercises the expanding eta bracket.
+    # linear model; ell is unbounded, so the loss has no ell_bound.
     one = lambda a, b, c: np.ones_like(np.asarray(a, dtype=float))
     return LossModel(
         name="ridge",
@@ -198,6 +198,22 @@ def test_solve_eta_trivial_cases():
     assert abs(solve_eta_one(0.5, 3.0, 0.0, 0.0, lin) - 2.0) <= 1e-12
     # RWF at the noiseless truth: ell(w*, w*, 0) = 0, so eta = w* is the root
     assert abs(solve_eta_one(0.2, 1.3, 1.3, 0.0, RWF) - 1.3) <= 1e-12
+
+
+def test_solve_eta_without_ell_bound_refuses_the_fallback():
+    # ell = -2a: at R = 1, F(eta) = -eta - w_inf has its one root at
+    # -w_inf with F' = -1, unstable, so every sample needs the bracketed
+    # fallback, and an unbounded loss gives it no bracket
+    neg = lambda a, b, c: -2.0 * np.asarray(a, dtype=float)
+    loss = LossModel(
+        name="neg-ridge", L=lambda a, b, c: -np.asarray(a, dtype=float) ** 2,
+        ell=neg, d1ell=lambda a, b, c: np.full_like(np.asarray(a, dtype=float), -2.0),
+        d2ell=lambda a, b, c: np.zeros_like(np.asarray(a, dtype=float)),
+        d1_bound=2.0, d2_bound=0.0)
+    w_inf = np.linspace(-1.0, 1.0, 7)
+    zeros = np.zeros(w_inf.size)
+    with pytest.raises(NoRootError, match="'neg-ridge'.* 7 samples"):
+        _solve_eta_pool(1.0, w_inf, zeros, zeros, loss)
 
 
 def sin_loss():

@@ -107,6 +107,27 @@ def test_blas_sites_split_only_under_one_blas_thread(monkeypatch, threads):
     assert np.allclose(np.tril(C), np.tril(A @ A.T))
 
 
+def test_blas_threads_is_0_without_a_bundled_openblas(monkeypatch, tmp_path):
+    # a numpy whose package directory has no numpy.libs next to it: the
+    # query finds no library, and the BLAS sites run serially on the caller
+    used = []
+    worker = halves._worker
+    monkeypatch.setattr(halves, "_worker", lambda: used.append(1) or worker())
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((2 * halves.MIN_SPLIT, 8))
+    v = rng.standard_normal(8)
+    halves.blas_threads.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+            assert halves.blas_threads("numpy") == 0
+            got = halves.matvec(X, v)
+    finally:
+        halves.blas_threads.cache_clear()
+    assert used == []
+    assert same_bits(got, X @ v)
+
+
 def test_concurrent_callers_share_the_worker():
     # more callers than cores, each splitting its own elementwise kernel
     # through the one worker, with a short switch interval; every caller's

@@ -66,37 +66,32 @@ def test_w2_unequal_sizes():
 
 
 @pytest.fixture(scope="module")
-def pr_law():
+def pr_state():
     pre = phase_preprocess(3.0)
     loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
     sol = solve_lambda_star(pre, abs_link(), point_mass_dist(0.0), 10.0,
                             QuadratureSpec())
     st = init_dmft(loss, abs_link(), point_mass_dist(0.0), pre, sol, 10.0,
                    0.01, 0.0, MonteCarloSpec(K=4000, seed=2))
-    law = run_dmft(st, 3)
-    return st, law
+    run_dmft(st, 3)
+    return st
 
 
-def test_compare_law_against_itself(pr_law):
-    st, law = pr_law
-    theta_block = law.theta_samples
-    eta_block = np.column_stack([law.eta_samples[:, :-2],
-                                 law.eta_samples[:, -2],
-                                 law.eta_samples[:, -1]])
-    rep = compare_empirical_vs_dmft(theta_block, eta_block, law,
-                                    st.C_theta, st.c_theta_star)
+def test_compare_law_against_itself(pr_state):
+    # the state's pools as the finite-size blocks: d = n = K rows of
+    # (theta^0..theta^m, theta*) and (eta^0..eta^m, w*, z)
+    st = pr_state
+    rep = compare_empirical_vs_dmft(st.thetas.T, st.etas.T, st)
     assert np.all(rep.w2_theta == 0.0)
     assert np.all(rep.w2_eta == 0.0)
     assert rep.cov_disc_theta <= 1e-12
     assert rep.max_overlap_diff <= 1e-12
 
 
-def test_compare_horizon_mismatch(pr_law):
-    st, law = pr_law
+def test_compare_horizon_mismatch(pr_state):
+    st = pr_state
     with pytest.raises(ValueError, match="horizon"):
-        compare_empirical_vs_dmft(law.theta_samples[:, :-1],
-                                  law.eta_samples, law,
-                                  st.C_theta, st.c_theta_star)
+        compare_empirical_vs_dmft(st.thetas[:-1].T, st.etas.T, st)
 
 
 def test_long_time_compare_requires_convergence():
