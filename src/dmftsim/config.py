@@ -1,10 +1,13 @@
 """Experiment configuration: flat sectioned key-value files (INI syntax)
 loaded into an ExperimentConfig that holds the run's model objects and
-solver specs, each built and validated once."""
+solver specs, each built and validated once.  ``_FIELDS`` lists every key,
+``CHOICES`` every name field's choices with their constructors and the keys
+they read."""
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,10 +19,15 @@ from .model import (
     LossModel,
     PreProcess,
     ScalarDist,
-    get_link,
-    make_dist,
-    make_loss,
-    make_preprocess,
+    abs_link,
+    gaussian_dist,
+    linear_link,
+    phase_preprocess,
+    point_mass_dist,
+    pseudo_huber_loss,
+    rademacher_dist,
+    rwf_loss,
+    smoothstep_profile,
 )
 from .spectral import QuadratureSpec
 
@@ -62,49 +70,72 @@ class ExperimentConfig:
     pipeline_stages: tuple
 
 
-# every key load_config reads, with the value used when it is absent (None:
-# no default); a section or key not listed here is refused
+# every key load_config reads: its parse and the value used when it is
+# absent (None: the key is required); a section or key not listed here is
+# refused
 _FIELDS = {
-    "model": {"n": None, "d": None, "link": None,
-              "noise": None, "noise_sigma": "1.0", "noise_value": "0.0",
-              "signal": "gaussian", "seed": "0"},
-    "loss": {"name": None, "l_cut": None, "u_cut": None, "scale": "1.0",
-             "preprocess": "phase-clip", "m_clip": None},
-    "algo": {"gamma": None, "lambda_ridge": None, "m": None,
-             "init": "spectral"},
-    "spectral": {"gh_nodes": "64", "z_samples": "20000", "quad_seed": "0"},
-    "dmft": {"K": "100000", "seed": "0"},
-    "fixedpoint": {"K": "100000", "damping": "0.5", "tol": "1e-8",
-                   "max_outer": "200", "seed": "0", "warm_start": "none"},
-    "compare": {"w2_tol": "0.05", "cov_tol": "0.05"},
-    "outputs": {"directory": "out",
-                "stages": "spectral,simulate,dmft,compare"},
+    "model": {"n": (int, None), "d": (int, None), "link": (str, None),
+              "noise": (str, None), "noise_sigma": (float, "1.0"),
+              "noise_value": (float, "0.0"), "signal": (str, "gaussian"),
+              "seed": (int, "0")},
+    "loss": {"name": (str, None), "l_cut": (float, None),
+             "u_cut": (float, None), "scale": (float, "1.0"),
+             "m_clip": (float, None)},
+    "algo": {"gamma": (float, None), "lambda_ridge": (float, None),
+             "m": (int, None), "init": (str, "spectral")},
+    "spectral": {"gh_nodes": (int, "64"), "z_samples": (int, "20000"),
+                 "quad_seed": (int, "0")},
+    "dmft": {"K": (int, "100000"), "seed": (int, "0")},
+    "fixedpoint": {"K": (int, "100000"), "damping": (float, "0.5"),
+                   "tol": (float, "1e-8"), "max_outer": (int, "200"),
+                   "seed": (int, "0"), "warm_start": (str, "none")},
+    "compare": {"w2_tol": (float, "0.05"), "cov_tol": (float, "0.05")},
+    "outputs": {"directory": (str, "out"),
+                "stages": (str, "spectral,simulate,dmft,compare")},
 }
 
 
-# keys read by one choice of their section's name field: (section, key) ->
-# (name field, that choice); given with another choice, a key is refused
-_READ_ONLY_WITH = {
-    ("model", "noise_sigma"): ("noise", "gaussian"),
-    ("model", "noise_value"): ("noise", "point"),
-    ("loss", "l_cut"): ("name", "rwf"), ("loss", "u_cut"): ("name", "rwf"),
-    ("loss", "scale"): ("name", "linear-pseudo-huber"),
+def _rwf(L_cut: float, U_cut: float) -> LossModel:
+    return rwf_loss(smoothstep_profile(L_cut, U_cut))
+
+
+# every name field's choices: (section, name key) -> {choice: (constructor,
+# {key of the section it reads: the parameter that key gives})}; a choice
+# without a constructor stays its name
+CHOICES = {
+    ("model", "link"): {"linear": (linear_link, {}), "abs": (abs_link, {})},
+    ("model", "noise"): {
+        "gaussian": (gaussian_dist, {"noise_sigma": "sigma"}),
+        "point": (point_mass_dist, {"noise_value": "value"}),
+        "rademacher": (rademacher_dist, {})},
+    # a point mass would have to sit at 0: no signal to recover
+    ("model", "signal"): {"gaussian": (gaussian_dist, {}),
+                          "rademacher": (rademacher_dist, {})},
+    ("loss", "name"): {
+        "rwf": (_rwf, {"l_cut": "L_cut", "u_cut": "U_cut"}),
+        "linear-pseudo-huber": (pseudo_huber_loss, {"scale": "scale"})},
+    ("algo", "init"): {"spectral": (None, {}), "independent": (None, {})},
+    ("fixedpoint", "warm_start"): {"dmft": (None, {}), "none": (None, {})},
 }
 
 
-def _get(cp, section, key, cast, required=False):
+def _get(cp, section, key):
+    """The value of ``section.key`` (or its default), parsed; a float must
+    be finite."""
+    cast, default = _FIELDS[section][key]
     if cp.has_option(section, key):
         raw = cp.get(section, key)
-    elif _FIELDS[section][key] is not None:
-        raw = _FIELDS[section][key]
-    elif required:
-        raise ConfigError(f"missing required field {section}.{key}")
+    elif default is not None:
+        raw = default
     else:
-        return None
+        raise ConfigError(f"field {section}.{key}: required, not given")
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"field {section}.{key}: cannot parse {raw!r}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"field {section}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def check_seed(field: str, seed: int) -> int:
@@ -115,17 +146,38 @@ def check_seed(field: str, seed: int) -> int:
     return seed
 
 
-def _build(fields: dict, make, *args, **kwargs):
-    """``make(*args, **kwargs)`` with its errors as ConfigErrors naming the
-    INI field.  ``fields`` maps each parameter, and "name" for a registry
-    name, to its field; the constructors' ValueErrors start with the
-    parameter they refuse."""
+def _build(cp, section: str, make, keys: dict):
+    """``make`` called with the parameters read from their keys: ``keys``
+    maps each key of ``section`` to the parameter it gives.  ``make``'s
+    ValueErrors start with the parameter they refuse and become ConfigErrors
+    naming its key."""
+    params = {param: _get(cp, section, key) for key, param in keys.items()}
     try:
-        return make(*args, **kwargs)
-    except KeyError as exc:
-        raise ConfigError(f"field {fields['name']}: {exc.args[0]}") from exc
+        return make(**params)
     except ValueError as exc:
-        raise ConfigError(f"field {fields[str(exc).split()[0]]}: {exc}") from exc
+        key = {p: k for k, p in keys.items()}[str(exc).split()[0]]
+        raise ConfigError(f"field {section}.{key}: {exc}") from exc
+
+
+def _choose(cp, section: str, name_key: str):
+    """The choice of the name field ``section.name_key``, looked up in
+    CHOICES and built from the keys it reads; a choice without a
+    constructor is returned as its name.  Refused: a name that is not one
+    of the field's choices, and a key of the section that only other
+    choices read."""
+    choices = CHOICES[section, name_key]
+    name = _get(cp, section, name_key)
+    if name not in choices:
+        raise ConfigError(f"field {section}.{name_key}: unknown choice {name!r} "
+                          f"(choices: {', '.join(choices)})")
+    make, keys = choices[name]
+    for _, other_keys in choices.values():
+        for key in other_keys:
+            if key not in keys and cp.has_option(section, key):
+                readers = " or ".join(c for c, (_, ks) in choices.items() if key in ks)
+                raise ConfigError(f"field {section}.{key}: read only with "
+                                  f"{section}.{name_key} = {readers}, got {name!r}")
+    return name if make is None else _build(cp, section, make, keys)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -141,105 +193,46 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"field {section}.{key}: unknown key")
 
-    n = _get(cp, "model", "n", int, required=True)
-    d = _get(cp, "model", "d", int, required=True)
+    n = _get(cp, "model", "n")
+    d = _get(cp, "model", "d")
     for key, size in (("n", n), ("d", d)):
         if size < 2:
             raise ConfigError(f"field model.{key}: must be >= 2, got {size}")
 
-    link = _build({"name": "model.link"}, get_link,
-                  _get(cp, "model", "link", str, required=True))
-    noise = _build(
-        {"name": "model.noise", "sigma": "model.noise_sigma",
-         "value": "model.noise_value"},
-        make_dist, _get(cp, "model", "noise", str, required=True),
-        sigma=_get(cp, "model", "noise_sigma", float),
-        value=_get(cp, "model", "noise_value", float))
-    signal_name = _get(cp, "model", "signal", str)
-    if signal_name == "point":    # signal laws take no value: always 0
-        raise ConfigError("field model.signal: a point mass at 0 carries no "
-                          "signal; use gaussian or rademacher")
-    signal = _build({"name": "model.signal"}, make_dist, signal_name)
-
-    loss_name = _get(cp, "loss", "name", str, required=True)
-    rwf = loss_name == "rwf"
-    loss = _build(
-        {"name": "loss.name", "L_cut": "loss.l_cut", "U_cut": "loss.u_cut",
-         "scale": "loss.scale"},
-        make_loss, loss_name,
-        L_cut=_get(cp, "loss", "l_cut", float, required=rwf),
-        U_cut=_get(cp, "loss", "u_cut", float, required=rwf),
-        scale=_get(cp, "loss", "scale", float))
-    for (section, key), (name_key, reader) in _READ_ONLY_WITH.items():
-        if cp.has_option(section, key) and cp[section][name_key] != reader:
-            raise ConfigError(f"field {section}.{key}: read only with {section}."
-                              f"{name_key} = {reader}, got {cp[section][name_key]!r}")
-    pre_name = _get(cp, "loss", "preprocess", str)
-    pre = _build(
-        {"name": "loss.preprocess", "M_clip": "loss.m_clip"},
-        make_preprocess, pre_name,
-        M_clip=_get(cp, "loss", "m_clip", float,
-                    required=pre_name == "phase-clip"))
-
-    gd = _build(
-        {"gamma": "algo.gamma", "lambda_ridge": "algo.lambda_ridge",
-         "m": "algo.m"},
-        GdConfig,
-        gamma=_get(cp, "algo", "gamma", float, required=True),
-        lambda_ridge=_get(cp, "algo", "lambda_ridge", float, required=True),
-        m=_get(cp, "algo", "m", int, required=True))
-    init = _get(cp, "algo", "init", str)
-    if init not in ("spectral", "independent"):
-        raise ConfigError(f"field algo.init: unknown mode {init!r}")
-
-    quadrature = _build(
-        {"gh_nodes": "spectral.gh_nodes", "z_samples": "spectral.z_samples"},
-        QuadratureSpec,
-        gh_nodes=_get(cp, "spectral", "gh_nodes", int),
-        z_samples=_get(cp, "spectral", "z_samples", int),
-        seed=check_seed("spectral.quad_seed",
-                        _get(cp, "spectral", "quad_seed", int)))
-    monte_carlo = _build(
-        {"K": "dmft.K"}, MonteCarloSpec,
-        K=_get(cp, "dmft", "K", int),
-        seed=check_seed("dmft.seed", _get(cp, "dmft", "seed", int)))
-    solver = _build(
-        {"K": "fixedpoint.K", "damping": "fixedpoint.damping",
-         "tol": "fixedpoint.tol", "max_outer": "fixedpoint.max_outer"},
-        SolverConfig,
-        K=_get(cp, "fixedpoint", "K", int),
-        damping=_get(cp, "fixedpoint", "damping", float),
-        tol=_get(cp, "fixedpoint", "tol", float),
-        max_outer=_get(cp, "fixedpoint", "max_outer", int),
-        seed=check_seed("fixedpoint.seed", _get(cp, "fixedpoint", "seed", int)))
-    warm_start = _get(cp, "fixedpoint", "warm_start", str)
-    if warm_start not in ("dmft", "none"):
-        raise ConfigError(f"field fixedpoint.warm_start: {warm_start!r}")
-
-    tols = {}
-    for key in ("w2_tol", "cov_tol"):
-        tols[key] = _get(cp, "compare", key, float)
-        if not tols[key] >= 0:    # also refuses nan
-            raise ConfigError(f"field compare.{key}: must be >= 0, "
-                              f"got {tols[key]}")
-
-    stages = tuple(s.strip() for s in _get(cp, "outputs", "stages", str).split(",")
+    stages = tuple(s.strip() for s in _get(cp, "outputs", "stages").split(",")
                    if s.strip())
     for s in stages:
         if s not in STAGE_NAMES:
             raise ConfigError(f"field outputs.stages: unknown stage {s!r}")
+    init = _choose(cp, "algo", "init")
     if "amp-check" in stages and init != "spectral":
         raise ConfigError(
             "field outputs.stages: amp-check requires field algo.init = "
             f"spectral, got {init!r}")
+    tols = {key: _get(cp, "compare", key) for key in ("w2_tol", "cov_tol")}
+    for key, tol in tols.items():
+        if tol < 0:
+            raise ConfigError(f"field compare.{key}: must be >= 0, got {tol}")
 
     return ExperimentConfig(
-        n=n, d=d, seed=check_seed("model.seed", _get(cp, "model", "seed", int)),
+        n=n, d=d, seed=check_seed("model.seed", _get(cp, "model", "seed")),
         delta=n / d,
-        link=link, noise=noise, signal=signal, loss=loss, pre=pre,
-        gd=gd, init=init, quadrature=quadrature, monte_carlo=monte_carlo,
-        solver=solver, fp_warm_start=warm_start,
+        link=_choose(cp, "model", "link"),
+        noise=_choose(cp, "model", "noise"),
+        signal=_choose(cp, "model", "signal"),
+        loss=_choose(cp, "loss", "name"),
+        pre=_build(cp, "loss", phase_preprocess, {"m_clip": "M_clip"}),
+        gd=_build(cp, "algo", GdConfig, {
+            "gamma": "gamma", "lambda_ridge": "lambda_ridge", "m": "m"}),
+        init=init,
+        quadrature=_build(cp, "spectral", QuadratureSpec, {
+            "gh_nodes": "gh_nodes", "z_samples": "z_samples", "quad_seed": "seed"}),
+        monte_carlo=_build(cp, "dmft", MonteCarloSpec, {"K": "K", "seed": "seed"}),
+        solver=_build(cp, "fixedpoint", SolverConfig, {
+            "K": "K", "damping": "damping", "tol": "tol",
+            "max_outer": "max_outer", "seed": "seed"}),
+        fp_warm_start=_choose(cp, "fixedpoint", "warm_start"),
         w2_tol=tols["w2_tol"], cov_tol=tols["cov_tol"],
-        out_dir=_get(cp, "outputs", "directory", str),
+        out_dir=_get(cp, "outputs", "directory"),
         pipeline_stages=stages,
     )

@@ -89,6 +89,8 @@ class MonteCarloSpec:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class IncrementalGaussian:

@@ -47,6 +47,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

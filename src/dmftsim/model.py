@@ -3,6 +3,8 @@
 Defines link functions, loss models (value + the derivatives the dynamics
 need), truncation profiles and pre-processing maps for spectral methods,
 scalar sampling distributions, and finite-size instance generation.
+Every stage receives the built objects; the config names of the
+constructors, and the keys each one reads, are in ``config.CHOICES``.
 """
 
 from __future__ import annotations
@@ -445,50 +447,3 @@ def make_instance(
         n=n, d=d, delta=n / d, X=X, theta_star=theta_star, eta_star=eta_star,
         z=z, y=y, link=link, seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Registries (names referenced from experiment configs)
-# ---------------------------------------------------------------------------
-
-LINKS = {
-    "linear": linear_link,
-    "abs": abs_link,
-}
-
-DISTS = {
-    "gaussian": gaussian_dist,
-    "point": point_mass_dist,
-    "rademacher": rademacher_dist,
-}
-
-
-def get_link(name: str) -> LinkFunction:
-    if name not in LINKS:
-        raise KeyError(f"unknown link '{name}' (known: {sorted(LINKS)})")
-    return LINKS[name]()
-
-
-def make_loss(name: str, **params) -> LossModel:
-    if name == "rwf":
-        profile = smoothstep_profile(params["L_cut"], params["U_cut"])
-        return rwf_loss(profile)
-    if name == "linear-pseudo-huber":
-        return pseudo_huber_loss(params.get("scale", 1.0))
-    raise KeyError(f"unknown loss '{name}' (known: ['rwf', 'linear-pseudo-huber'])")
-
-
-def make_preprocess(name: str, **params) -> PreProcess:
-    if name == "phase-clip":
-        return phase_preprocess(params["M_clip"])
-    raise KeyError(f"unknown pre-processor '{name}' (known: ['phase-clip'])")
-
-
-def make_dist(name: str, **params) -> ScalarDist:
-    if name == "gaussian":
-        return gaussian_dist(params.get("sigma", 1.0))
-    if name == "point":
-        return point_mass_dist(params.get("value", 0.0))
-    if name == "rademacher":
-        return rademacher_dist()
-    raise KeyError(f"unknown distribution '{name}' (known: {sorted(DISTS)})")

@@ -43,6 +43,8 @@ class QuadratureSpec:
             raise ValueError("gh_nodes must be >= 16")
         if self.z_samples < 1:
             raise ValueError("z_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,11 @@ from dmftsim.model import (
     gaussian_dist,
     linear_link,
     make_instance,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
     pseudo_huber_loss,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import (
     QuadratureSpec,
@@ -47,7 +48,7 @@ from dmftsim.spectral import (
 )
 
 PRE3 = phase_preprocess(3.0)
-RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
 PR_GAMMA = 0.01
 
 
@@ -189,7 +190,7 @@ def test_criterion_3_dmft_vs_simulation():
 
 def test_criterion_4_hessian_floor():
     # U = 2L chosen large so the cutoff band lies far outside the data scale
-    loss = make_loss("rwf", L_cut=50.0, U_cut=100.0)
+    loss = rwf_loss(smoothstep_profile(50.0, 100.0))
     d, delta = 500, 10.0
     worst = np.inf
     for seed in range(5):

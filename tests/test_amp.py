@@ -18,14 +18,15 @@ from dmftsim.model import (
     abs_link,
     gaussian_dist,
     make_instance,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import QuadratureSpec, solve_lambda_star, spectral_estimator
 
 PRE3 = phase_preprocess(3.0)
-RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
 
 
 @pytest.fixture(scope="module")

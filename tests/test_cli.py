@@ -7,16 +7,19 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmftsim import cli, model
+from dmftsim import cli, config
 from dmftsim.cli import Runner, main
 from dmftsim.config import ConfigError, load_config
-from dmftsim.dmft import DmftState
+from dmftsim.dmft import DmftState, tti_diagnostics
 from dmftsim.gd import run_gd
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CFG = """
 [model]
@@ -32,7 +35,6 @@ seed = 3
 name = rwf
 l_cut = 9.0
 u_cut = 18.0
-preprocess = phase-clip
 m_clip = 3.0
 
 [algo]
@@ -175,7 +177,6 @@ signal = gaussian
 seed = 3
 [loss]
 name = linear-pseudo-huber
-preprocess = phase-clip
 m_clip = 2.0
 [algo]
 gamma = 0.08
@@ -215,6 +216,33 @@ def test_fixed_point_stage(tmp_path):
     assert changes[-1] < 1e-8 <= changes[0]
 
 
+def test_independent_init_draws_theta0_from_the_model_seed(tmp_path):
+    # a direction of norm sqrt(d), independent of the design: drawn from
+    # model.seed alone, with no spectral estimate computed
+    path = tmp_path / "lin.ini"
+    path.write_text(LINEAR_CFG.format(out=tmp_path / "out"))
+    cfg = load_config(path)
+    runners = [Runner(c, tmp_path) for c in (cfg, cfg, replace(cfg, seed=cfg.seed + 1))]
+    same, again, other = (r.theta0 for r in runners)
+    assert np.linalg.norm(same) == pytest.approx(np.sqrt(cfg.d), rel=1e-12)
+    assert same.tobytes() == again.tobytes() != other.tobytes()
+    assert all("spec_result" not in vars(r) for r in runners)
+
+
+def test_dmft_diagnostics_report_tti_from_horizon_10(tmp_path):
+    path = write_cfg_with(tmp_path, {("algo", "m"): "10"}, stages="dmft")
+    assert main(["dmft", "--config", str(path)]) == 0
+    diag = json.loads((tmp_path / "out" / "dmft_diagnostics.json").read_text())
+    rep = tti_diagnostics(Runner(load_config(path), tmp_path).dmft)
+    assert diag["tti_deviation_by_lag"] == {str(k): v for k, v in rep.tti_dev.items()}
+    assert list(diag["tti_deviation_by_lag"]) == ["1", "2", "3", "4", "5"]
+    assert np.isfinite(rep.fit_slope) and np.isfinite(rep.fit_r2)
+    assert diag["response_fit_slope"] == rep.fit_slope
+    assert diag["response_fit_r2"] == rep.fit_r2
+    assert diag["dia_theta_decay_ratio"] == (
+        rep.dia_theta.max() / max(rep.dia_theta[-1], 1e-300))
+
+
 def test_fixed_point_stage_reports_off_branch_failure(tmp_path):
     # nonconvex loss warm-started from a too-short DMFT tail: the stage must
     # report non-convergence and fail the pipeline rather than fake a root
@@ -232,16 +260,20 @@ def test_fixed_point_stage_reports_off_branch_failure(tmp_path):
 
 
 def test_compare_stage_reports_the_statistic_over_its_tolerance(tmp_path):
-    path = write_cfg_with(tmp_path, {("compare", "w2_tol"): "0"},
+    path = write_cfg_with(tmp_path, {("compare", "w2_tol"): "0",
+                                     ("compare", "cov_tol"): "0"},
                           stages="simulate,dmft,compare")
     assert main(["pipeline", "--config", str(path)]) == 1
     out = tmp_path / "out"
-    w2 = json.loads((out / "comparison.json").read_text())["w2_theta"]
+    record = json.loads((out / "comparison.json").read_text())
+    w2 = record["w2_theta"]
     t = w2.index(max(w2))
     status = json.loads((out / "pipeline_status.json").read_text())
     assert status["compare"]["ok"] is False
     assert status["compare"]["reason"].startswith(
         f"w2_theta = {max(w2):.6g} at t = {t} exceeds w2_tol = 0; w2_eta = ")
+    assert status["compare"]["reason"].endswith(
+        f"; cov_disc_theta = {record['cov_disc_theta']:.6g} exceeds cov_tol = 0")
     assert all(status[s] == {"ok": True} for s in ("simulate", "dmft"))
 
 
@@ -325,6 +357,7 @@ CASE_CONTEXT = {
     ("algo", "m", "-1"),
     ("algo", "gamma", "-0.1"),
     ("algo", "gamma", "nan"),
+    ("algo", "gamma", "inf"),
     ("algo", "lambda_ridge", "-1"),
     ("spectral", "gh_nodes", "8"),
     ("spectral", "z_samples", "0"),
@@ -343,6 +376,8 @@ CASE_CONTEXT = {
     ("model", "noise_value", "nan"),
     ("loss", "scale", "nan"),
     ("loss", "m_clip", "nan"),
+    ("loss", "m_clip", "inf"),
+    ("loss", "u_cut", "inf"),
     ("model", "seed", "-1"),
     ("spectral", "quad_seed", "-1"),
     ("dmft", "seed", "-1"),
@@ -354,6 +389,10 @@ CASE_CONTEXT = {
     ("fixedpoint", "warm_start", "cold"),
     ("outputs", "stages", "spectral,plot"),
     ("model", "signal", "point"),         # a point mass at 0: no signal
+    ("model", "link", "foo"),
+    ("model", "noise", "foo"),
+    ("model", "signal", "foo"),
+    ("loss", "name", "foo"),
 ])
 def test_out_of_range_field_is_a_config_error(tmp_path, capsys, section, key, value):
     fields = {**CASE_CONTEXT.get((section, key), {}), (section, key): value}
@@ -386,16 +425,33 @@ def test_key_the_chosen_name_does_not_read_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_readme_example_config_loads(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = readme.split("```ini\n")[1:]
-    assert len(blocks) == 1
-    path = tmp_path / "readme.ini"
-    path.write_text(blocks[0].split("```")[0])
+@pytest.mark.parametrize("name", ["README.md", *sorted(
+    p.name for p in (ROOT / "configs").glob("*.ini"))])
+def test_example_config_loads(tmp_path, name):
+    # README's example and every shipped config
+    if name == "README.md":
+        blocks = (ROOT / "README.md").read_text().split("```ini\n")[1:]
+        assert len(blocks) == 1
+        text = blocks[0].split("```")[0]
+    else:
+        text = (ROOT / "configs" / name).read_text()
+    path = tmp_path / "example.ini"
+    path.write_text(text)
     cfg = load_config(path)
-    assert (cfg.link.name, cfg.loss.name, cfg.init) == ("abs", "rwf", "spectral")
-    assert cfg.pipeline_stages == ("spectral", "simulate", "dmft", "amp-check",
-                                   "fixed-point", "compare")
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    assert (cfg.link.name, cfg.loss.name, cfg.init) == (
+        cp["model"]["link"], cp["loss"]["name"], cp["algo"]["init"])
+    assert cfg.pipeline_stages == tuple(cp["outputs"]["stages"].split(","))
+
+
+def test_unknown_signal_lists_only_the_signal_choices(tmp_path):
+    path = write_cfg_with(tmp_path, {("model", "signal"): "foo"})
+    with pytest.raises(ConfigError, match="field model.signal: ") as err:
+        load_config(path)
+    message = str(err.value)
+    assert "gaussian" in message and "rademacher" in message
+    assert "point" not in message
 
 
 def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
@@ -409,6 +465,7 @@ def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
     ("algo", "gama", "0.3"),
     ("outputs", "sample_format", "csv"),
     ("model", "delta", "2.0"),    # delta is n/d, never read from the file
+    ("loss", "preprocess", "phase-clip"),    # m_clip always builds phase-clip
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, section, key, value):
     path = write_cfg_with(tmp_path, {(section, key): value})
@@ -429,12 +486,12 @@ def test_unknown_section_is_a_config_error(tmp_path):
 
 def test_pipeline_builds_the_loss_once(tmp_path, monkeypatch):
     built = []
-    rwf_loss = model.rwf_loss
+    rwf_loss = config.rwf_loss
 
     def counting_rwf_loss(profile):
         built.append(profile)
         return rwf_loss(profile)
-    monkeypatch.setattr(model, "rwf_loss", counting_rwf_loss)
+    monkeypatch.setattr(config, "rwf_loss", counting_rwf_loss)
     path = write_cfg(tmp_path, stages="spectral,simulate,dmft,amp-check,"
                                       "fixed-point,compare")
     with warnings.catch_warnings():

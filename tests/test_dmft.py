@@ -28,15 +28,16 @@ from dmftsim.model import (
     abs_link,
     gaussian_dist,
     linear_link,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
     pseudo_huber_loss,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import LambdaStarSolution, QuadratureSpec, solve_lambda_star
 
 PRE3 = phase_preprocess(3.0)
-RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
 
 
 def pr_solution(delta=10.0):

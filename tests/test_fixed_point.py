@@ -24,13 +24,15 @@ from dmftsim.model import (
     LossModel,
     abs_link,
     gaussian_dist,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
+    pseudo_huber_loss,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import QuadratureSpec, solve_lambda_star
 
-RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
 
 
 def ridge_loss():
@@ -293,7 +295,7 @@ def test_noisy_phase_retrieval_converges_near_the_dmft_tail():
     solver then projected on every outer step and wandered to C11 ~ 0.5."""
     delta, noise = 10.0, gaussian_dist(0.3)
     link, pre = abs_link(), phase_preprocess(3.0)
-    rwf = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    rwf = rwf_loss(smoothstep_profile(9.0, 18.0))
     sol = solve_lambda_star(pre, link, noise, delta, QuadratureSpec(z_samples=5000))
     dm = init_dmft(rwf, link, noise, pre, sol, delta, 0.01, 0.0,
                    MonteCarloSpec(K=20000, seed=11))
@@ -366,7 +368,7 @@ def test_eta_pool_is_evaluated_once_per_newton_iterate(monkeypatch):
     monkeypatch.setattr(LossModel, "evaluator", recording)
     runs = [
         (RWF, point_mass_dist(0.0), 10.0, 0.0, pr_warm_init()),
-        (make_loss("linear-pseudo-huber", scale=1.0), gaussian_dist(0.3),
+        (pseudo_huber_loss(1.0), gaussian_dist(0.3),
          2.0, 0.5, None),
     ]
     for loss, noise, delta, lam, init in runs:

@@ -18,10 +18,11 @@ from dmftsim.model import (
     gaussian_dist,
     linear_link,
     make_instance,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
     pseudo_huber_loss,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import spectral_estimator
 
@@ -71,7 +72,7 @@ def test_run_gd_nan_abort():
 def test_trajectory_recompute_residual():
     inst = make_instance(80, 40, 3, abs_link(), point_mass_dist(0.0),
                          gaussian_dist())
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     traj = run_gd(inst, loss, GdConfig(0.01, 0.1, 12),
                   spectral_estimator(inst, phase_preprocess(3.0)).theta0)
     assert recompute_residual(inst, loss, traj) <= 1e-10
@@ -131,7 +132,7 @@ def test_phase_retrieval_landscape_small():
     # the 1/50 Hessian floor inside the 1/5-ball, small-size version; the
     # truncation window must sit far outside the data scale (U = 2L large)
     # or rare rows in the cutoff band wreck the lower bound
-    loss = make_loss("rwf", L_cut=50.0, U_cut=100.0)
+    loss = rwf_loss(smoothstep_profile(50.0, 100.0))
     inst = make_instance(3000, 300, 0, abs_link(), point_mass_dist(0.0),
                          gaussian_dist())
     rng = np.random.default_rng(0)
@@ -164,7 +165,7 @@ def test_descent_contraction_in_benign_region():
 def test_hessian_report_region_flags():
     inst = make_instance(60, 20, 1, abs_link(), point_mass_dist(0.0),
                          gaussian_dist())
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     traj = run_gd(inst, loss, GdConfig(0.0, 0.0, 2), inst.theta_star.copy())
     rep = hessian_report(inst, loss, 0.0, traj, radius=0.2)
     assert rep.in_region.all()
@@ -209,7 +210,7 @@ def test_loss_value_decreases_under_gd():
 def test_loss_value_reads_recorded_pre_activations_bitwise():
     inst = make_instance(120, 60, 4, abs_link(), point_mass_dist(0.0),
                          gaussian_dist())
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     theta0 = spectral_estimator(inst, phase_preprocess(3.0)).theta0
     traj = run_gd(inst, loss, GdConfig(0.02, 0.3, 6), theta0)
     for t in range(traj.m + 1):

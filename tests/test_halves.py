@@ -15,11 +15,18 @@ import pytest
 
 from dmftsim import halves
 from dmftsim.fixed_point import SolverConfig, _solve_eta_pool, iterate_fixed_point
-from dmftsim.model import gaussian_dist, linear_link, make_loss, phase_preprocess
+from dmftsim.model import (
+    gaussian_dist,
+    linear_link,
+    phase_preprocess,
+    pseudo_huber_loss,
+    rwf_loss,
+    smoothstep_profile,
+)
 from dmftsim.spectral import EtaIntegrals, QuadratureSpec
 
 PRE3 = phase_preprocess(3.0)
-RWF = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
 
 
 @pytest.fixture
@@ -190,7 +197,7 @@ def test_eta_pool_equals_serial_newton(serial, K):
     rng = np.random.default_rng(K)
     w_star, w_inf = rng.standard_normal(K), 1.1 * rng.standard_normal(K)
     cases = [(RWF, np.zeros(K), 0.03),
-             (make_loss("linear-pseudo-huber", scale=1.0), 0.3 * rng.standard_normal(K), 0.4)]
+             (pseudo_huber_loss(1.0), 0.3 * rng.standard_normal(K), 0.4)]
     for loss, z, R in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -201,7 +208,7 @@ def test_eta_pool_equals_serial_newton(serial, K):
 
 def test_fixed_point_equals_serial_run(serial):
     cfg = SolverConfig(K=4000, damping=0.5, tol=1e-10, max_outer=60, seed=3)
-    args = (make_loss("linear-pseudo-huber", scale=1.0), gaussian_dist(0.3), 2.0, 0.5, cfg)
+    args = (pseudo_huber_loss(1.0), gaussian_dist(0.3), 2.0, 0.5, cfg)
     st, ref = iterate_fixed_point(*args), serial(iterate_fixed_point, *args)
     assert st.iterations == ref.iterations and st.residual_trace == ref.residual_trace
     assert same_bits(st.eta_inf, ref.eta_inf)

@@ -12,9 +12,10 @@ from dmftsim.metrics import (
 )
 from dmftsim.model import (
     abs_link,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import QuadratureSpec, solve_lambda_star
 
@@ -68,7 +69,7 @@ def test_w2_unequal_sizes():
 @pytest.fixture(scope="module")
 def pr_state():
     pre = phase_preprocess(3.0)
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     sol = solve_lambda_star(pre, abs_link(), point_mass_dist(0.0), 10.0,
                             QuadratureSpec())
     st = init_dmft(loss, abs_link(), point_mass_dist(0.0), pre, sol, 10.0,

@@ -16,9 +16,10 @@ from dmftsim.model import (
     gaussian_dist,
     linear_link,
     make_instance,
-    make_loss,
     phase_preprocess,
     point_mass_dist,
+    rwf_loss,
+    smoothstep_profile,
 )
 from dmftsim.spectral import (
     EtaIntegrals,
@@ -373,7 +374,7 @@ def test_quadrature_spec_validation():
 
 def test_power_stage_fixed_point_at_exact_eigenvector():
     inst = planted_instance()
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     res = two_stage_dynamic(inst, PRE3, loss, gamma=0.01, lambda_ridge=0.0,
                             T_stage=6, m=0)
     assert np.all(res.gaps <= 1e-12)
@@ -387,7 +388,7 @@ def test_two_stage_builds_Mn_once(monkeypatch):
         calls.append(1)
         return build(inst, pre)
     monkeypatch.setattr(spectral, "build_Mn", counted)
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     two_stage_dynamic(planted_instance(), PRE3, loss, gamma=0.01,
                       lambda_ridge=0.0, T_stage=2, m=0)
     assert len(calls) == 1
@@ -402,7 +403,7 @@ def test_power_stage_rejects_zero():
 def test_two_stage_beta_converges_to_lam1():
     inst = make_instance(5000, 500, 2, abs_link(), point_mass_dist(0.0),
                          gaussian_dist())
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     spec = spectral_estimator(inst, PRE3)
     res = two_stage_dynamic(inst, PRE3, loss, gamma=0.01, lambda_ridge=0.0,
                             T_stage=16, m=0)
@@ -413,7 +414,7 @@ def test_two_stage_stage2_matches_spectral_gd():
     from dmftsim.gd import GdConfig, run_gd
     inst = make_instance(4000, 400, 5, abs_link(), point_mass_dist(0.0),
                          gaussian_dist())
-    loss = make_loss("rwf", L_cut=9.0, U_cut=18.0)
+    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
     spec = spectral_estimator(inst, PRE3)
     res = two_stage_dynamic(inst, PRE3, loss, gamma=0.01, lambda_ridge=0.0,
                             T_stage=30, m=8)
