@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import halves
+from . import halves, roots
 from .dmft import fmean
 from .model import LossModel, ScalarDist, gaussian_dist
 
@@ -225,9 +225,21 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     g is deterministic, so from that step on every further step repeats it,
     and stopping gives the bits that running all 200 steps gives.  (For
     hi >= 0.5 the width rule lies below one ulp, so it fires only on a
-    bracket collapsed to a point.)  g(R) is evaluated in two work buffers of
-    the pool's size, allocated once per call.  The root is the bracket's
-    midpoint.
+    bracket collapsed to a point.)  The root is the bracket's midpoint.
+
+    Most midpoints are decided without evaluating g (``roots.MonotoneSigns``,
+    with the same decisions and so the same bits).  One pass over the pool
+    at the bracket's upper end checks lambda + delta mean[d1 / (1 + d1
+    hi)^2] > 0 beyond its rounding error; each term of that mean only grows
+    toward R = 0, so g is increasing on [0, hi].  The same pass gives a
+    bound B on the rounding error of computed g anywhere on [0, hi]
+    (``_g_error``: the roundings of each term, carried to first order and
+    doubled, plus Higham's bound for numpy's pairwise sum).  A midpoint at
+    or above an evaluated point where g > 2B then has g > 0, one at or below
+    a point where g < -2B has g < 0, and only the midpoints between are
+    evaluated.  A pool that fails the check has every midpoint evaluated.
+    g(R) is evaluated in two work buffers of the pool's size, allocated once
+    per call, and the pass reuses them.
     """
     d1 = np.asarray(d1_pool, dtype=float)
     q = np.empty_like(d1)
@@ -242,14 +254,14 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     r_pole = pole_radius(d1)
     cap = min(1e6, r_pole * (1.0 - 1e-12))
     start = hi = min(1.0, 0.5 * cap)
-    while g(hi) <= 0.0:
+    while (g_hi := g(hi)) <= 0.0:
         if hi >= cap * (1.0 - 1e-12):
             # no sign change between the start and cap; g may still be
             # positive on a stretch below the start
             top, hi = hi, start
             for _ in range(60):
                 hi *= 0.5
-                if g(hi) > 0.0:
+                if (g_hi := g(hi)) > 0.0:
                     break
             else:
                 frac = float(np.mean(1.0 + d1 * min(2.0 * top, 1e6) <= 0))
@@ -259,10 +271,12 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
                     f"{frac:.2%} sample fraction beyond it")
             break
         hi = 2.0 * hi if 2.0 * hi < cap else hi + 0.5 * (cap - hi)
+    bound = _g_error(d1, delta, lambda_ridge, hi, 1.0 - hi / r_pole, q, ratio)
+    sign = g if bound is None else roots.MonotoneSigns(g, bound, 0.0, -1.0, hi, g_hi)
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
+        if sign(mid) > 0.0:
             if hi == mid:
                 break
             hi = mid
@@ -273,6 +287,45 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
     return float(0.5 * (lo + hi))
+
+
+def _g_error(d1: Array, delta: float, lambda_ridge: float, hi: float,
+             s_min: float, q: Array, ratio: Array) -> Optional[float]:
+    """A bound on |computed g(R) - exact g(R)| over R in [0, hi], or None
+    when g is not certified increasing there.  ``s_min`` is min(1, 1 + d1
+    hi) over the pool; ``q`` and ``ratio`` are work buffers.
+
+    With q = d1 R, s = 1 + q and r = q / s, the computed r is off by at most
+    u |r| (2 + 1/s) to first order (u the unit roundoff; the 1/s is the
+    rounding of d1 R, carried through 1 + q), and |r| and |r| / s only grow
+    with R for d1 < 0 (for d1 >= 0, |r| grows and |r| / s <= |r|), so at
+    R = hi the sums A = sum |r| and E = sum max(|r|, |r| / s) bound them over
+    [0, hi].  numpy's sum adds at most ``roots.sum_error(K) * A``, and the
+    mean, the products with delta and lambda and the two additions a few u
+    more.  The first-order bound is doubled to cover the higher orders (the
+    relative errors involved are below u / s_min, about 1e-4 at the pole
+    cap).  The monotonicity check takes hi d1 / s^2 = r / s at hi, whose
+    computed value is off by at most u (2/s_min + 4) relative.
+    """
+    K = d1.size
+    u = roots.UNIT_ROUNDOFF
+    gam = roots.sum_error(K)
+    np.multiply(d1, hi, out=q)
+    np.add(1.0, q, out=ratio)
+    np.divide(q, ratio, out=q)              # r
+    np.divide(q, ratio, out=ratio)          # r / s = hi d1 / s^2
+    slope = lambda_ridge * hi + delta * float(np.sum(ratio)) / K    # hi g'(hi)
+    np.abs(q, out=q)
+    np.abs(ratio, out=ratio)
+    np.maximum(q, ratio, out=ratio)
+    A = float(np.sum(q)) / K
+    E = float(np.sum(ratio)) / K
+    slope_err = 2.0 * (delta * E * (u * (2.0 / s_min + 4.0) + gam)
+                       + 3.0 * u * (abs(lambda_ridge) * hi + delta * E))
+    if not slope > slope_err:
+        return None
+    return 2.0 * (delta * (u * (2.0 * A + E) + gam * A)
+                  + u * (4.0 * delta * A + 3.0 * abs(lambda_ridge) * hi + 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +402,8 @@ def iterate_fixed_point(
         C_eta = delta * float(np.mean(ell * ell))
         u_inf = np.sqrt(max(C_eta, 0.0)) * g_u
         theta_inf = R_theta_new * (u_inf - R_eta_star * theta_star)
-        C_new = np.array([
-            [float(np.mean(theta_inf**2)), float(np.mean(theta_inf * theta_star))],
-            [float(np.mean(theta_inf * theta_star)), 1.0],
-        ])
+        c12_new = float(np.mean(theta_inf * theta_star))
+        C_new = np.array([[float(np.mean(theta_inf**2)), c12_new], [c12_new, 1.0]])
         params_new = np.array([C_new[0, 0], C_new[0, 1], R_theta_new, R_eta,
                                R_eta_star, Gamma, C_eta])
         if not np.all(np.isfinite(params_new)):

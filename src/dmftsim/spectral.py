@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import halves
+from . import halves, roots
 from .gd import GdConfig, Trajectory, run_gd
 from .model import LinkFunction, LossModel, ModelInstance, PreProcess, ScalarDist
 
@@ -235,7 +235,13 @@ def solve_lambda_star(
 ) -> LambdaStarSolution:
     """Solve zeta_delta(lambda) = phi(lambda) for lambda*, with
     zeta_delta(lambda) = psi_delta(max(lambda, lambda_bar)), and evaluate the
-    overlap formula and the limiting top-two eigenvalues of M_n."""
+    overlap formula and the limiting top-two eigenvalues of M_n.
+
+    lambda_bar is psi's golden-section minimizer.  lambda* is bisected on
+    [lo, hi], lo just below lambda_bar, and the bisection evaluates only
+    the midpoints whose sign no evaluated point certifies
+    (``roots.MonotoneSigns`` under the bound of ``_root_fn_error``), with
+    the decisions, and so the bits, of evaluating every midpoint."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     quad = quad or QuadratureSpec()
@@ -243,11 +249,12 @@ def solve_lambda_star(
     tau = integ.tau
 
     probe = tau * (1.0 + 1e-6) if tau > 0 else 1e-6
-    if integ.e_frac2(probe) < ADMISSIBILITY_FLOOR or integ.e_g2frac(probe) < ADMISSIBILITY_FLOOR:
+    frac2, g2frac = integ.e_frac2(probe), integ.e_g2frac(probe)
+    if frac2 < ADMISSIBILITY_FLOOR or g2frac < ADMISSIBILITY_FLOOR:
         warnings.warn(
             "pre-processing admissibility proxy failed: near-pole expectations "
-            f"E[Zs/(lam-Zs)^2]={integ.e_frac2(probe):.3g}, "
-            f"E[Zs G^2/(lam-Zs)]={integ.e_g2frac(probe):.3g} below 1e3 "
+            f"E[Zs/(lam-Zs)^2]={frac2:.3g}, "
+            f"E[Zs G^2/(lam-Zs)]={g2frac:.3g} below 1e3 "
             "(divergence conditions possibly violated)",
             RuntimeWarning,
         )
@@ -265,12 +272,18 @@ def solve_lambda_star(
         return integ.e_g2frac(lam) - lam * integ.e_g2frac2(lam)
 
     lam_bar = _golden_min(psi, psi_prime, tau)
+    frac_bar = integ.e_frac(lam_bar)
+    psi_bar = lam_bar * (1.0 / delta + frac_bar)    # psi(lam_bar), bitwise
+
+    def zeta(lam: float) -> float:
+        return psi_bar if lam <= lam_bar else psi(lam)
 
     def root_fn(lam: float) -> float:
-        return psi(max(lam, lam_bar)) - phi(lam)
+        return zeta(lam) - phi(lam)
 
     lo = lam_bar * (1.0 - 1e-9) + tau * 1e-9
-    f_lo = root_fn(lo)
+    phi_lo = phi(lo)
+    f_lo = zeta(lo) - phi_lo
     if f_lo > 0:
         raise WeakRecoveryError(
             "zeta - phi is already positive near lambda_bar: no crossing above; "
@@ -278,14 +291,20 @@ def solve_lambda_star(
     span = max(lam_bar - tau, 1.0)
     hi = lam_bar + span
     for _ in range(200):
-        if root_fn(hi) > 0:
+        zeta_hi = zeta(hi)
+        f_hi = zeta_hi - phi(hi)
+        if f_hi > 0:
             break
         span *= 2.0
         hi = lam_bar + span
     else:
         raise WeakRecoveryError("no sign change of zeta - phi up to very large lambda")
 
-    lam_star = _bisect(root_fn, lo, hi, xtol=1e-10, max_iter=200)
+    bound = _root_fn_error(integ, delta, lam_bar, frac_bar,
+                           max(psi_bar, zeta_hi) + phi_lo)
+    sign = root_fn if bound is None else roots.MonotoneSigns(
+        root_fn, bound, lo, f_lo, hi, f_hi, width=1e-10)
+    lam_star = _bisect(sign, lo, f_lo, hi, xtol=1e-10, max_iter=200)
 
     psp = psi_prime(max(lam_star, lam_bar))
     php = phi_prime(lam_star)
@@ -300,7 +319,7 @@ def solve_lambda_star(
         phi_prime=float(php),
         overlap_a=overlap,
         lam1_lim=float(delta * psi(lam_star)),
-        lam2_lim=float(delta * psi(lam_bar)),
+        lam2_lim=float(delta * psi_bar),
         tau=tau,
         delta=float(delta),
     )
@@ -337,8 +356,47 @@ def _golden_min(psi, psi_prime, tau: float) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, max_iter: int) -> float:
-    f_lo = f(lo)
+def _root_fn_error(integ: EtaIntegrals, delta: float, lam_bar: float,
+                   frac_bar: float, scale: float) -> Optional[float]:
+    """A bound B on |computed - exact| of zeta - phi on the lambda* bracket,
+    under which zeta - phi is nondecreasing there, or None when no such
+    bound is certified.  ``scale`` bounds psi(max(lam, lam_bar)) + phi(lam)
+    on the bracket: psi is convex, so at most its larger end value, and phi
+    is nonincreasing, so at most its value at the lower end.
+
+    phi' = -E[Z_s^2 G^2 / (lam - Z_s)^2] <= 0 for grid values 0 <= Z_s <=
+    tau < lam, since the quadrature weights are positive; psi is convex
+    there.  So zeta - phi is nondecreasing when psi' >= 0 at lam_bar, and
+    otherwise falls by at most the dip psi(lam_bar) - min psi <=
+    -psi'(lam_bar) (x1 - lam_bar), x1 a point where psi' > 0 (a little
+    above lam_bar); B includes the dip.  Each grid sum has nonnegative terms
+    with two or three roundings each, so it is off by at most
+    ``roots.sum_error(n)`` + 4u relative, and psi, phi and psi' add a few u
+    more.  These first-order bounds are doubled.
+    """
+    if not (integ.Zs.min() >= 0.0 and integ.Zs.max() <= integ.tau):
+        return None
+    rel = 2.0 * (roots.sum_error(integ.Zs.size) + 8.0 * roots.UNIT_ROUNDOFF)
+
+    def certified_slope(lam: float, frac: float) -> tuple[float, float]:
+        frac2 = integ.e_frac2(lam)
+        slope = 1.0 / delta + frac - lam * frac2
+        return slope, rel * (1.0 / delta + frac + lam * frac2)
+
+    slope, err = certified_slope(lam_bar, frac_bar)
+    dip = 0.0
+    if not slope > err:
+        x1 = lam_bar + 1e-6 * max(lam_bar - integ.tau, 1.0)
+        slope1, err1 = certified_slope(x1, integ.e_frac(x1))
+        if not slope1 > err1:
+            return None
+        dip = (err - slope) * (x1 - lam_bar)
+    return rel * scale + dip
+
+
+def _bisect(f, lo: float, f_lo: float, hi: float, xtol: float,
+            max_iter: int) -> float:
+    """Bisection for a sign change of f on [lo, hi], f_lo = f(lo)."""
     if f_lo == 0.0:
         return lo
     for _ in range(max_iter):

@@ -1,6 +1,7 @@
 """Tests for the long-time fixed-point solver."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,7 +184,106 @@ def test_solve_R_theta_stops_at_its_fixed_point(monkeypatch, low, high, delta,
     monkeypatch.setattr(fixed_point, "np", counter)
     R = solve_R_theta(d1, delta, lam)
     assert R.hex() == expected.hex()
-    assert counter.calls <= 64
+    assert counter.calls <= 21
+
+
+def solve_R_theta_full(d1, delta, lambda_ridge):
+    """solve_R_theta with every bisection midpoint evaluated: today's
+    bracket search and bisection loop without the certified signs.
+    Returns the root and the number of evaluations of g."""
+    d1 = np.asarray(d1, dtype=float)
+    evals = [0]
+
+    def g(R):
+        evals[0] += 1
+        q = d1 * R
+        return lambda_ridge * R + delta * float(np.mean(q / (1.0 + q))) - 1.0
+
+    cap = min(1e6, pole_radius(d1) * (1.0 - 1e-12))
+    start = hi = min(1.0, 0.5 * cap)
+    while g(hi) <= 0.0:
+        if hi >= cap * (1.0 - 1e-12):
+            hi = start
+            for _ in range(60):
+                hi *= 0.5
+                if g(hi) > 0.0:
+                    break
+            else:
+                raise NoRootError("no sign change")
+            break
+        hi = 2.0 * hi if 2.0 * hi < cap else hi + 0.5 * (cap - hi)
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            if hi == mid:
+                break
+            hi = mid
+        else:
+            if lo == mid:
+                break
+            lo = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return float(0.5 * (lo + hi)), evals[0]
+
+
+def near_pole_pool(K):
+    # d1 = 1 but for one sample whose pole lies 3 % above the root R = 0.5
+    # of the others: the bracket's upper end creeps up to 1.6 % below it
+    return np.concatenate([np.ones(K - 1), [-0.97 / 0.5]])
+
+
+R_THETA_POOLS = {
+    "d1 >= 0": (lambda rng: rng.uniform(0.1, 5.0, 100_000), 4.0, 0.5, True),
+    "lambda = 0": (lambda rng: rng.uniform(0.1, 5.0, 100_000), 10.0, 0.0, True),
+    "a few d1 < 0": (lambda rng: rng.uniform(-0.05, 1.0, 100_000), 2.0, 0.5, True),
+    # g falls again before hi: g'(hi) < 0, so every midpoint is evaluated
+    "d1 < 0, not certified": (
+        lambda rng: rng.permutation(np.repeat([10.0, -1.0], [7000, 3000])),
+        6.0, 0.0, False),
+    "root near the pole cap": (lambda rng: near_pole_pool(100_000), 3.0, 0.0, True),
+    # the upper end is halved down from the start (see the test above)
+    "halving below the start": (
+        lambda rng: np.repeat([100.0, -1.5], [650, 350]), 2.0, 0.0, True),
+}
+
+
+@pytest.mark.parametrize("case", list(R_THETA_POOLS))
+def test_solve_R_theta_certified_signs_keep_every_bit(monkeypatch, case):
+    make, delta, lam, certified = R_THETA_POOLS[case]
+    d1 = make(np.random.default_rng(3))
+    expected, full_evals = solve_R_theta_full(d1, delta, lam)
+    counter = MeanCounter()
+    monkeypatch.setattr(fixed_point, "np", counter)
+    R = solve_R_theta(d1, delta, lam)
+    assert R.hex() == expected.hex()
+    if certified:
+        # the bracket search's evaluations, the locating ones and those in
+        # the band around the root
+        assert counter.calls < full_evals
+    else:
+        assert counter.calls == full_evals
+
+
+def test_g_error_bounds_the_rounding_of_g():
+    # computed g against g in exact rational arithmetic on the pool, at
+    # points across [0, hi]; d1 < 0 put the pole at R = 1.25
+    d1 = np.random.default_rng(5).uniform(-0.8, 3.0, 500)
+    delta, lam, hi = 3.0, 0.5, 0.6
+    q, ratio = np.empty_like(d1), np.empty_like(d1)
+    bound = fixed_point._g_error(d1, delta, lam, hi, 1.0 + d1.min() * hi,
+                                 q, ratio)
+    assert bound is not None
+    worst = 0.0
+    for R in np.linspace(0.0, hi, 13)[1:]:
+        q = d1 * R
+        computed = lam * R + delta * float(np.mean(q / (1.0 + q))) - 1.0
+        terms = (Fraction(x) * Fraction(R) for x in d1)
+        exact = (Fraction(lam) * Fraction(R) - 1 + Fraction(delta)
+                 * sum(t / (1 + t) for t in terms) / d1.size)
+        worst = max(worst, abs(Fraction(computed) - exact))
+    assert 0 < worst <= bound
 
 
 def solve_eta_one(R, w_inf, w_star, z, loss):

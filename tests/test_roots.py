@@ -1,0 +1,80 @@
+"""Tests for the certified bisection signs."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dmftsim.roots import MonotoneSigns, sum_error
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000, 8192 * 3 + 5, 100_000])
+def test_sum_error_bounds_numpy_sums(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n)),
+              rng.uniform(0.0, 1.0, n),
+              np.full(n, 0.1)):
+        err = abs(float(np.sum(x)) - math.fsum(x))
+        assert err <= sum_error(n) * math.fsum(np.abs(x))
+
+
+def bisect(sign, lo, hi):
+    """Bisection with the stop rules of fixed_point.solve_R_theta; returns
+    the final bracket and the side taken at each step."""
+    sides = []
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = sign(mid) > 0.0
+        sides.append(up)
+        if up:
+            if hi == mid:
+                break
+            hi = mid
+        else:
+            if lo == mid:
+                break
+            lo = mid
+    return lo, hi, sides
+
+
+def noisy(exact, bound):
+    """exact(x) plus a deterministic error of at most bound, changing sign
+    from one float to the next; returns it and its evaluation counter."""
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return exact(x) + bound * math.sin(x * 1e15)
+    return f, calls
+
+
+@pytest.mark.parametrize("exact, bound", [
+    (lambda x: x - 0.3, 1e-14),
+    (lambda x: math.floor(x * 1e13) * 1e-13 - 0.3, 1e-14),  # flat steps
+    (lambda x: math.expm1(4.0 * x) - 2.0, 1e-13),
+    (lambda x: x - 0.3, 0.0),
+])
+def test_certified_signs_take_every_decision_of_full_evaluation(exact, bound):
+    f, calls = noisy(exact, bound)
+    lo, hi = 0.0, 1.0
+    full = bisect(f, lo, hi)
+    n_full = calls[0]
+    calls[0] = 0
+    signs = MonotoneSigns(f, bound, lo, f(lo), hi, f(hi))
+    assert signs(hi) == 1.0 and signs(lo) == -1.0
+    assert bisect(signs, lo, hi) == full
+    assert calls[0] < n_full / 2
+
+
+def test_undecided_points_are_evaluated_and_kept():
+    f, calls = noisy(lambda x: x - 0.5, 1e-3)
+    # regula falsi lands on 0.5, in the band |f| <= 2e-3; the steps off it
+    # decide everything outside a few band widths around it
+    signs = MonotoneSigns(f, 1e-3, 0.0, f(0.0), 1.0, f(1.0))
+    assert 0.48 < signs.neg < 0.497 and 0.503 < signs.pos < 0.52
+    calls[0] = 0
+    assert signs(signs.pos) == 1.0 and signs(signs.neg) == -1.0
+    assert calls[0] == 0
+    assert signs(0.5) == f(0.5) and calls[0] == 2     # in the band
+    assert signs(0.496) < -2e-3 and calls[0] == 3     # decides below it
+    assert signs(0.4955) == -1.0 and calls[0] == 3

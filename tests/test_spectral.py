@@ -2,6 +2,8 @@
 the two-stage power-iteration dynamic."""
 
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
 from dmftsim import spectral
+from dmftsim.config import load_config
 from dmftsim.model import (
     ModelInstance,
     PreProcess,
@@ -310,6 +313,138 @@ def test_lambda_star_weak_recovery_error():
     with pytest.raises(WeakRecoveryError):
         solve_lambda_star(PRE3, linear_link(), gaussian_dist(1.0), 2.0,
                           QuadratureSpec(z_samples=5000, seed=1))
+
+
+def solve_lambda_star_full(pre, link, noise, delta, quad, lam_bar=None):
+    """(lambda_bar, lambda*) of solve_lambda_star with every bisection
+    midpoint evaluated: today's golden section, bracket search and
+    bisection loop without the certified signs."""
+    integ = EtaIntegrals(pre, link, noise, quad)
+    tau = integ.tau
+
+    def psi(lam):
+        return lam * (1.0 / delta + integ.e_frac(lam))
+
+    def psi_prime(lam):
+        return 1.0 / delta + integ.e_frac(lam) - lam * integ.e_frac2(lam)
+
+    if lam_bar is None:
+        lam_bar = spectral._golden_min(psi, psi_prime, tau)
+
+    def root_fn(lam):
+        return psi(max(lam, lam_bar)) - lam * integ.e_g2frac(lam)
+
+    lo = lam_bar * (1.0 - 1e-9) + tau * 1e-9
+    span = max(lam_bar - tau, 1.0)
+    hi = lam_bar + span
+    while root_fn(hi) <= 0:
+        span *= 2.0
+        hi = lam_bar + span
+    f_lo = root_fn(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = root_fn(mid)
+        if f_mid == 0.0:
+            return lam_bar, mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-10:
+            return lam_bar, 0.5 * (lo + hi)
+    raise RuntimeError("no convergence")
+
+
+def count_grid_evaluations(monkeypatch):
+    calls = []
+    for name in ("e_frac", "e_frac2", "e_g2frac", "e_g2frac2"):
+        fn = getattr(EtaIntegrals, name)
+
+        def counted(self, lam, fn=fn, name=name):
+            calls.append((name, lam))
+            return fn(self, lam)
+        monkeypatch.setattr(EtaIntegrals, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", ["phase_retrieval", "linear_pseudo_huber"])
+def test_lambda_star_keeps_the_bits_of_full_bisection(monkeypatch, config):
+    cfg = load_config(Path(__file__).parents[1] / "configs" / f"{config}.ini")
+    args = (cfg.pre, cfg.link, cfg.noise, cfg.delta, cfg.quadrature)
+    lam_bar, lam_star = solve_lambda_star_full(*args)
+    calls = count_grid_evaluations(monkeypatch)
+    sol = solve_lambda_star(*args)
+    assert sol.lambda_bar.hex() == lam_bar.hex()
+    assert sol.lambda_star.hex() == lam_star.hex()
+    # 143 and 157 grid evaluations with every midpoint evaluated
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("shift, certified", [
+    (0.0, True), (-1e-7, True), (-1e-3, False)])
+def test_lambda_star_covers_the_dip_of_psi_below_its_minimizer(
+        monkeypatch, shift, certified):
+    # lambda_bar moved below psi's minimizer: zeta - phi dips just above it,
+    # by an amount the error bound covers once psi' > 0 a little higher up;
+    # further down no such bound is certified and every midpoint is
+    # evaluated
+    args = (PRE3, abs_link(), point_mass_dist(0.0), 10.0, QuadratureSpec())
+    golden = spectral._golden_min
+    monkeypatch.setattr(spectral, "_golden_min",
+                        lambda *a: golden(*a) * (1.0 + shift))
+    bounds = []
+    error = spectral._root_fn_error
+    monkeypatch.setattr(spectral, "_root_fn_error",
+                        lambda *a: bounds.append(error(*a)) or bounds[-1])
+    sol = solve_lambda_star(*args)
+    lam_bar, lam_star = solve_lambda_star_full(*args, lam_bar=sol.lambda_bar)
+    assert sol.lambda_star.hex() == lam_star.hex()
+    assert (bounds[0] is not None) == certified
+    integ = EtaIntegrals(*args[:3], args[4])
+    psi_prime = (1.0 / 10.0 + integ.e_frac(lam_bar)
+                 - lam_bar * integ.e_frac2(lam_bar))
+    assert (psi_prime < 0) == (shift < 0)
+
+
+def test_root_fn_error_bounds_the_rounding_of_zeta_minus_phi():
+    # computed zeta - phi against its value in exact rational arithmetic on
+    # a small grid, at points across a bracket around lambda*
+    quad = QuadratureSpec(gh_nodes=16, z_samples=40, seed=2)
+    args = (PRE3, abs_link(), gaussian_dist(0.3))
+    delta = 10.0
+    sol = solve_lambda_star(*args, delta, quad)
+    integ = EtaIntegrals(*args, quad)
+    lam_bar = sol.lambda_bar
+    lo, hi = lam_bar * (1.0 - 1e-9) + integ.tau * 1e-9, 2.0 * sol.lambda_star
+
+    def psi(lam):
+        return lam * (1.0 / delta + integ.e_frac(lam))
+
+    def phi(lam):
+        return lam * integ.e_g2frac(lam)
+
+    bound = spectral._root_fn_error(integ, delta, lam_bar,
+                                    integ.e_frac(lam_bar),
+                                    max(psi(lam_bar), psi(hi)) + phi(lo))
+    assert bound is not None
+    wZ, wZG2, Zs = ([Fraction(x) for x in a]
+                    for a in (integ.wZ, integ.wZG2, integ.Zs))
+    worst = 0.0
+    for lam in np.linspace(lo, hi, 9):
+        computed = psi(max(lam, lam_bar)) - phi(lam)
+        x, y = Fraction(max(lam, lam_bar)), Fraction(lam)
+        exact = (x * (1 / Fraction(delta) + sum(a / (x - z) for a, z in zip(wZ, Zs)))
+                 - y * sum(a / (y - z) for a, z in zip(wZG2, Zs)))
+        worst = max(worst, abs(Fraction(computed) - exact))
+    assert 0 < worst <= bound
+
+
+def test_admissibility_warning_reuses_the_tested_values(monkeypatch):
+    calls = count_grid_evaluations(monkeypatch)
+    test_admissibility_proxy_warns()
+    probe = 1.0 * (1.0 + 1e-6)
+    assert calls.count(("e_frac2", probe)) == 1
+    assert calls.count(("e_g2frac", probe)) == 1
 
 
 def test_eta_integrals_equal_direct_weighted_sums_bitwise():
