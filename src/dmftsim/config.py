@@ -181,8 +181,15 @@ def _choose(cp, section: str, name_key: str):
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)    # a value is read as written
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        errors = getattr(exc, "errors", None)     # ParsingError: [(line, text)]
+        line = errors[0][0] if errors else getattr(exc, "lineno", None)
+        at = f"{path}, line {line}" if line else str(path)
+        reason = str(exc).splitlines()[0].rsplit("]: ", 1)[-1]
+        raise ConfigError(f"{at}: {reason}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in cp.sections():

@@ -361,17 +361,6 @@ class DmftState:
             raise RuntimeError("DMFT state was released by release_paths(); "
                                "its step arrays are gone and it cannot be stepped")
 
-    # -- helpers ----------------------------------------------------------
-
-    def T_map(self, y: Array) -> Array:
-        ts = np.asarray(self.pre.Ts(y), dtype=float)
-        return ts / (self.lam_star - ts)
-
-    def T_map_prime(self, y: Array) -> Array:
-        ts = np.asarray(self.pre.Ts(y), dtype=float)
-        ts1 = np.asarray(self.pre.Ts1(y), dtype=float)
-        return self.lam_star * ts1 / (self.lam_star - ts) ** 2
-
     # -- eta step ----------------------------------------------------------
 
     def step_eta(self) -> None:
@@ -387,8 +376,8 @@ class DmftState:
                                           self.rng.standard_normal(K))
             self.etas[-2] = self.w_star
             self.y = np.asarray(self.link.eval(self.w_star, self.z), dtype=float)
-            self.Ty = self.T_map(self.y)
             self.Ts_y = np.asarray(self.pre.Ts(self.y), dtype=float)
+            self.Ty = self.Ts_y / (self.lam_star - self.Ts_y)     # T(y)
         # covariance of w^t against (w*, w^0..w^{t-1}), then variance C_theta(t,t)
         cov = np.empty(t + 1)
         cov[0] = self.c_theta_star[t]
@@ -396,8 +385,10 @@ class DmftState:
         w_t = self.w_proc.add(cov, self.C_theta[t, t], self.rng.standard_normal(K))
 
         if t == 0:
+            # T'(y) = lambda* Ts'(y) / (lambda* - Ts(y))^2
             self.dd_source = (
-                self.T_map_prime(self.y)
+                self.lam_star * np.asarray(self.pre.Ts1(self.y), dtype=float)
+                / (self.lam_star - self.Ts_y) ** 2
                 * np.asarray(self.link.du(self.w_star, self.z), dtype=float)
                 * w_t
             )

@@ -84,8 +84,7 @@ class NoRootError(RuntimeError):
 # Inner solvers
 # ---------------------------------------------------------------------------
 
-def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
-                    loss: LossModel, warn_multiroot: bool = True,
+def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossModel,
                     pool_eval=None) -> tuple[Array, Array, Array, Array]:
     """Stable roots of F(eta) = eta + R ell(eta, w*, z) - w_inf, one per
     sample, and ell, d1ell and d2ell at them.
@@ -97,13 +96,17 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
     d2ell included) over its half and moves only the samples whose residual
     still exceeds the tolerance; a sample that met it keeps its eta, so its
     residual is recomputed from the same bits, and the roots are those of
-    Newton over the whole pool.  The fallbacks run on the caller.  A root
-    is stable when F' = 1 + R d1ell > 0 there; a Newton root that is not
-    goes to the fallback too, which takes the upward crossing of F nearest
-    to w_inf.  When the sign pattern on the bracket shows several crossings
-    a warning is issued.  The evaluation at which Newton stops serves the
-    residual check, the stability test and the returned values; only the
-    samples a fallback moves are evaluated again.
+    Newton over the whole pool.  The evaluation at which Newton stops
+    serves the residual check, the stability test and the returned values.
+
+    A root is stable when F' = 1 + R d1ell > 0 there.  Every sample whose
+    Newton iterate misses the residual tolerance, leaves the bracket or is
+    not stable goes to one fallback call (``_bisect_eta``) on the caller,
+    and only those samples are evaluated again.  The fallback is the one
+    place where a root is chosen among several: it keeps the upward
+    crossing of F nearest to w_inf.  A warning counts the fallback samples
+    whose bracket scan shows more than one upward crossing, the samples
+    where that choice was made; a sample Newton solves is not counted.
     ``pool_eval`` is ``loss.evaluator(w_star, z)`` when a caller holds it.
     """
     w_inf = np.asarray(w_inf, dtype=float)
@@ -136,53 +139,40 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array,
     halves.on_halves(newton, K)
 
     half = abs(R) * loss.ell_bound if loss.ell_bound is not None else None
-
-    def fall_back(moved):
-        if moved.size:
-            eta[moved] = _bisect_eta(loss, R, w_inf[moved], w_star[moved],
-                                     z[moved], half)
-            ell[moved], d1[moved], d2[moved] = ev(eta[moved], moved, d2=True)
-
-    off = np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL
+    bad = (np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL) | (1.0 + R * d1 <= 0.0)
     if half is not None:
-        off |= np.abs(eta - w_inf) > half * (1 + 1e-9)
-    fall_back(np.flatnonzero(off))
-    fall_back(np.flatnonzero(1.0 + R * d1 <= 0.0))
-
-    if warn_multiroot and half is not None and half > 0:
-        def F(eta):
-            return eta + R * np.asarray(loss.ell(eta, w_star, z), dtype=float) - w_inf
-
-        grid = np.linspace(-1.0, 1.0, 33)
-        vals = np.stack([F(w_inf + g * half) for g in grid], axis=1)
-        crossings = np.sum(np.diff(np.signbit(vals), axis=1) != 0, axis=1)
-        n_multi = int(np.sum(crossings > 1))
+        bad |= np.abs(eta - w_inf) > half * (1 + 1e-9)
+    moved = np.flatnonzero(bad)
+    if moved.size:
+        if half is None:
+            raise NoRootError(
+                f"loss {loss.name!r} has no ell_bound to bracket the eta root of "
+                f"{moved.size} samples that Newton left unsolved or unstable")
+        eta[moved], n_multi = _bisect_eta(ev, moved, R, w_inf[moved], half)
+        ell[moved], d1[moved], d2[moved] = ev(eta[moved], moved, d2=True)
         if n_multi:
             warnings.warn(
                 f"eta fixed-point equation shows multiple crossings on "
-                f"{n_multi} of {w_inf.size} samples; nearest stable root to "
+                f"{n_multi} of {K} samples; nearest stable root to "
                 "w_inf kept", RuntimeWarning)
     return eta, ell, d1, d2
 
 
-def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
-                z: Array, half) -> Array:
-    """Bracketed fallback: scan a grid over [w_inf - half, w_inf + half],
-    pick the cell closest to w_inf where F crosses upward (a stable root,
-    F' > 0), bisect inside it.  The bracket is half = |R| ell_bound; a loss
-    without ``ell_bound`` has none, and is refused with NoRootError."""
-    if half is None:
-        raise NoRootError(
-            f"loss {loss.name!r} has no ell_bound to bracket the eta root of "
-            f"{w_inf.size} samples that Newton left unsolved or unstable")
-
+def _bisect_eta(ev, idx: Array, R: float, w_inf: Array,
+                half: float) -> tuple[Array, int]:
+    """Bracketed fallback on the pool entries ``idx`` of the evaluator
+    ``ev`` (``w_inf`` holds theirs): scan F on 65 points over [w_inf - half,
+    w_inf + half], pick the cell closest to w_inf where F crosses upward (a
+    stable root, F' > 0), bisect inside it.  Returns the roots and the
+    number of samples whose scan crosses upward in more than one cell."""
     def F(eta):
-        return eta + R * np.asarray(loss.ell(eta, w_star, z), dtype=float) - w_inf
+        return eta + R * ev(eta, idx)[0] - w_inf
 
     offsets = np.linspace(-1.0, 1.0, 65) * half
     vals = np.stack([F(w_inf + off) for off in offsets], axis=1)  # (k, 65)
     neg = np.signbit(vals)
     upward = neg[:, :-1] & ~neg[:, 1:]                             # (k, 64)
+    n_multi = int(np.count_nonzero(np.count_nonzero(upward, axis=1) > 1))
     cell_mid = 0.5 * (offsets[:-1] + offsets[1:])
     dist = np.where(upward, np.abs(cell_mid)[None, :], np.inf)
     cell = np.argmin(dist, axis=1)
@@ -197,7 +187,7 @@ def _bisect_eta(loss: LossModel, R: float, w_inf: Array, w_star: Array,
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), n_multi
 
 
 def pole_radius(d1_pool: Array) -> float:
@@ -372,15 +362,13 @@ def iterate_fixed_point(
     pool_eval = loss.evaluator(w_star, z)    # (w*, z) is fixed across outer steps
     trace = []
     params_prev = None
-    n_projected = 0
-    last_projected = 0
+    projected = []              # (outer step, projected R_theta)
     it = 0
     for it in range(1, cfg.max_outer + 1):
         c11, c12 = C[0, 0], C[0, 1]
         resid_var = max(c11 - c12 * c12, 0.0)
         w_inf = c12 * g_wstar + np.sqrt(resid_var) * g_worth
         eta, ell, d1, d2 = _solve_eta_pool(R_theta, w_inf, w_star, z, loss,
-                                           warn_multiroot=(it == 1),
                                            pool_eval=pool_eval)
         Gamma = float(np.mean(d1))
         try:
@@ -390,13 +378,7 @@ def iterate_fixed_point(
             # and let the damped covariance update pull the pool back toward
             # the branch where the root is interior.
             R_theta_new = 0.5 * min(pole_radius(d1), 10.0 * max(R_theta, 0.1))
-            n_projected += 1
-            last_projected = it
-            if n_projected == 1:
-                warnings.warn(
-                    f"outer step {it}: R_theta equation had no pole-free "
-                    f"root; projected to R={R_theta_new:.4g} (further "
-                    "projections counted silently)", RuntimeWarning)
+            projected.append((it, R_theta_new))
         R_eta = 1.0 / R_theta_new - lambda_ridge - delta * Gamma
         R_eta_star = delta * float(np.mean(d2 / (1.0 + d1 * R_theta_new)))
         C_eta = delta * float(np.mean(ell * ell))
@@ -409,8 +391,8 @@ def iterate_fixed_point(
         if not np.all(np.isfinite(params_new)):
             raise FloatingPointError(
                 f"fixed-point iteration diverged at outer step {it} "
-                f"(params {params_new}); supply a warm start near the "
-                "dynamically relevant branch")
+                f"(params {params_new}); set fixedpoint.warm_start = dmft to "
+                "start near the dynamically relevant branch")
         if params_prev is not None:
             change = float(np.max(np.abs(params_new - params_prev)))
             trace.append(change)
@@ -429,13 +411,15 @@ def iterate_fixed_point(
                   f"outer steps; last parameter change {last:.3e}")
         warnings.warn(reason, RuntimeWarning)
 
-    if n_projected:
+    if projected:
+        first, R_first = projected[0]
         warnings.warn(
-            f"R_theta equation lacked a pole-free root on {n_projected} of "
-            f"{it} outer steps; the pool sat outside the branch where the "
+            f"R_theta equation lacked a pole-free root on {len(projected)} of "
+            f"{it} outer steps, first at step {first} (projected to "
+            f"R={R_first:.4g}); the pool sat outside the branch where the "
             "stationary system is defined (warm-start closer, e.g. from a "
             "longer DMFT tail)", RuntimeWarning)
-    if not reason and last_projected == it:
+    if not reason and projected and projected[-1][0] == it:
         reason = (f"the last outer step ({it}) projected R_theta to "
                   f"{R_theta:.4g} below the pole; it is not a root")
 

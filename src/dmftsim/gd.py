@@ -1,10 +1,9 @@
-"""Spectral-initialized gradient descent at finite (n, d), plus Hessian
-landscape probes along the trajectory."""
+"""Spectral-initialized gradient descent at finite (n, d), plus the Hessian's
+extreme eigenvalues at an iterate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -47,15 +46,6 @@ class Trajectory:
     @property
     def m(self) -> int:
         return self.theta.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class HessianReport:
-    times: Array
-    lam_min: Array
-    lam_max: Array
-    in_region: Array
-    radius: float
 
 
 def run_gd(inst: ModelInstance, loss: LossModel, cfg: GdConfig, theta0: Array) -> Trajectory:
@@ -106,30 +96,6 @@ def hessian_extremes(
     H[np.diag_indices_from(H)] += lambda_ridge
     w = scipy.linalg.eigh(H, eigvals_only=True, subset_by_index=[0, inst.d - 1])
     return float(w[0]), float(w[-1])
-
-
-def hessian_report(
-    inst: ModelInstance,
-    loss: LossModel,
-    lambda_ridge: float,
-    traj: Trajectory,
-    radius: float = 0.2,
-    times: Optional[Sequence[int]] = None,
-) -> HessianReport:
-    """Per-iterate Hessian extremes and membership of the ball
-    ||theta^t - theta*|| / sqrt(d) <= radius."""
-    if times is None:
-        times = range(traj.m + 1)
-    times = np.asarray(list(times), dtype=int)
-    lam_min = np.empty(len(times))
-    lam_max = np.empty(len(times))
-    in_region = np.empty(len(times), dtype=bool)
-    sqd = np.sqrt(inst.d)
-    for k, t in enumerate(times):
-        lam_min[k], lam_max[k] = hessian_extremes(inst, loss, lambda_ridge, traj.theta[t])
-        in_region[k] = np.linalg.norm(traj.theta[t] - inst.theta_star) / sqd <= radius
-    return HessianReport(times=times, lam_min=lam_min, lam_max=lam_max,
-                         in_region=in_region, radius=radius)
 
 
 def empirical_joint(traj: Trajectory, theta_star: Array) -> tuple[Array, Array]:

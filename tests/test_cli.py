@@ -4,6 +4,7 @@ import configparser
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -247,8 +248,12 @@ def test_fixed_point_stage_reports_off_branch_failure(tmp_path):
     # nonconvex loss warm-started from a too-short DMFT tail: the stage must
     # report non-convergence and fail the pipeline rather than fake a root
     cfg = write_cfg(tmp_path, stages="dmft,fixed-point")
-    with pytest.warns(RuntimeWarning, match="pole-free"):
+    with pytest.warns(RuntimeWarning, match="pole-free") as caught:
         code = main(["pipeline", "--config", str(cfg)])
+    # one projection warning, at the end, naming the first projected step
+    [projected] = [str(w.message) for w in caught if "pole-free" in str(w.message)]
+    assert re.search(r"lacked a pole-free root on \d+ of \d+ outer steps, "
+                     r"first at step \d+ \(projected to R=", projected)
     record = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
     assert not record["converged"]
     assert code == 1
@@ -482,6 +487,18 @@ def test_unknown_section_is_a_config_error(tmp_path):
                     + "[algos]\n")
     with pytest.raises(ConfigError, match=r"section \[algos\]"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[model]\nn = 200\nn = 300\n", "{path}, line 3: "),    # a key given twice
+    ("n = 200\n", "{path}, line 1: "),                      # no section header
+    ("[model]\nn = 10%\n", "field model.n: cannot parse '10%'"),   # no interpolation
+])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["spectral", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
 
 
 def test_pipeline_builds_the_loss_once(tmp_path, monkeypatch):

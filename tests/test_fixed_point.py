@@ -1,5 +1,6 @@
 """Tests for the long-time fixed-point solver."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import scipy.optimize
 from dmftsim import fixed_point
 from dmftsim.dmft import MonteCarloSpec, fmean, init_dmft, run_dmft
 from dmftsim.fixed_point import (
+    ETA_RESIDUAL_TOL,
     R_RESIDUAL_TOL,
     FixedPointState,
     NoRootError,
@@ -334,8 +336,11 @@ def sin_loss():
 
 
 def test_solve_eta_multiroot_warning_picks_nearest():
+    # Newton from eta = w_inf solves this sample, so no root is chosen among
+    # several and the multi-root count stays silent
     w_inf = 0.3
-    with pytest.warns(RuntimeWarning, match="multiple crossings"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         eta = solve_eta_one(5.0, w_inf, 0.0, 0.0, sin_loss())
     assert abs(eta + 5.0 * np.sin(eta) - w_inf) <= 1e-10
     assert abs(eta) < 0.2  # the nearest root, not the ones beyond pi
@@ -372,8 +377,8 @@ def test_solve_eta_returns_the_loss_values_at_its_roots():
     w_star = 2.0 * rng.standard_normal(K)
     z = 0.3 * rng.standard_normal(K)
     w_inf = w_star + 0.5 * rng.standard_normal(K)
-    eta, ell, d1, d2 = _solve_eta_pool(0.05, w_inf, w_star, z, RWF,
-                                       warn_multiroot=False)
+    with pytest.warns(RuntimeWarning, match="multiple crossings"):
+        eta, ell, d1, d2 = _solve_eta_pool(0.05, w_inf, w_star, z, RWF)
     assert np.any((eta**2 > 9.0) & (eta**2 < 18.0))
     assert_values_at_roots(RWF, eta, ell, d1, d2, w_star, z)
     # sin_loss through the default evaluator; from w_inf = 3 Newton lands
@@ -386,6 +391,121 @@ def test_solve_eta_returns_the_loss_values_at_its_roots():
     assert np.all(1.0 + 5.0 * d1 > 0.0)
     assert abs(eta[0] - 3.0) > 1.0
     assert_values_at_roots(loss, eta, ell, d1, d2, zeros, zeros)
+
+
+def test_divergence_names_the_warm_start_field(monkeypatch):
+    monkeypatch.setattr(fixed_point, "solve_R_theta", lambda d1, delta, lam: np.nan)
+    with pytest.raises(FloatingPointError, match="fixedpoint.warm_start"):
+        iterate_fixed_point(RWF, gaussian_dist(0.3), 10.0, 0.0, SolverConfig(K=100))
+
+
+def newton_eta(R, w_inf, ev):
+    """The solver's Newton loop over the whole pool, and ell, d1ell and
+    d2ell at its last iterate."""
+    eta = w_inf.copy()
+    for _ in range(25):
+        ell, d1, d2 = ev(eta, d2=True)
+        f = eta + R * ell - w_inf
+        todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
+        if not np.any(todo):
+            break
+        fp = 1.0 + R * d1
+        safe = np.abs(fp) >= 1e-3
+        np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
+    else:
+        ell, d1, d2 = ev(eta, d2=True)
+    return eta, ell, d1, d2
+
+
+def two_fallback_solve_eta_pool(R, w_inf, w_star, z, loss):
+    """Reference copy of the eta solver whose fallback ran twice: Newton
+    over the whole pool, a bracketed fallback through ``loss.ell`` on the
+    samples off the residual tolerance or the bracket, then another on the
+    samples left unstable."""
+    ev = loss.evaluator(w_star, z)
+    eta, ell, d1, d2 = newton_eta(R, w_inf, ev)
+    half = abs(R) * loss.ell_bound
+
+    def bisect(m):
+        w, b, c = w_inf[m], w_star[m], z[m]
+
+        def F(e):
+            return e + R * np.asarray(loss.ell(e, b, c), dtype=float) - w
+
+        offsets = np.linspace(-1.0, 1.0, 65) * half
+        neg = np.signbit(np.stack([F(w + off) for off in offsets], axis=1))
+        upward = neg[:, :-1] & ~neg[:, 1:]
+        dist = np.where(upward, np.abs(0.5 * (offsets[:-1] + offsets[1:])), np.inf)
+        cell = np.argmin(dist, axis=1)
+        has = np.isfinite(np.min(dist, axis=1))
+        lo = w + np.where(has, offsets[cell], -half)
+        hi = w + np.where(has, offsets[cell + 1], half)
+        flo = F(lo)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            fm = F(mid)
+            same = np.signbit(fm) == np.signbit(flo)
+            lo = np.where(same, mid, lo)
+            flo = np.where(same, fm, flo)
+            hi = np.where(same, hi, mid)
+        return 0.5 * (lo + hi)
+
+    def fall_back(moved):
+        if moved.size:
+            eta[moved] = bisect(moved)
+            ell[moved], d1[moved], d2[moved] = ev(eta[moved], moved, d2=True)
+
+    off = np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL
+    off |= np.abs(eta - w_inf) > half * (1 + 1e-9)
+    fall_back(np.flatnonzero(off))
+    fall_back(np.flatnonzero(1.0 + R * d1 <= 0.0))
+    return eta, ell, d1, d2
+
+
+def test_one_fallback_call_keeps_the_bits_of_two():
+    # sin loss at R = 5: Newton solves most of uniform(-4, 4), lands on the
+    # unstable root near 3.18 from w_inf = 3, and from w_inf near 1.77
+    # (where 1 + 5 cos(w_inf) is near 0) jumps far and ends off the bracket
+    R, loss = 5.0, sin_loss()
+    rng = np.random.default_rng(3)
+    w_inf = np.concatenate([rng.uniform(-4.0, 4.0, 300), [3.0],
+                            rng.uniform(1.70, 1.85, 60)])
+    zeros = np.zeros(w_inf.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = _solve_eta_pool(R, w_inf, zeros, zeros, loss)
+    want = two_fallback_solve_eta_pool(R, w_inf, zeros, zeros, loss)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    # the pool holds every kind of sample named above
+    eta, ell, d1, _ = newton_eta(R, w_inf, loss.evaluator(zeros, zeros))
+    solved = np.abs(eta + R * ell - w_inf) <= ETA_RESIDUAL_TOL
+    off_bracket = np.abs(eta - w_inf) > R
+    unstable = 1.0 + R * d1 <= 0.0
+    assert np.sum(solved & ~unstable) >= 100
+    assert solved[300] and unstable[300]
+    assert np.sum(off_bracket) >= 10
+
+
+def test_fixed_point_evaluates_the_loss_only_through_its_pool_evaluator():
+    def refuse(a, b, c):
+        raise AssertionError("a loss callable was called")
+
+    rwf = dataclasses.replace(RWF, ell=refuse, d1ell=refuse, d2ell=refuse)
+    # RWF at R = 0.05 leaves samples unstable, so the fallback runs too
+    rng = np.random.default_rng(5)
+    w_star = 2.0 * rng.standard_normal(4000)
+    z = 0.3 * rng.standard_normal(4000)
+    w_inf = w_star + 0.5 * rng.standard_normal(4000)
+    with pytest.warns(RuntimeWarning, match="multiple crossings"):
+        _solve_eta_pool(0.05, w_inf, w_star, z, rwf)
+    cfg = SolverConfig(K=2000, tol=1e-6, max_outer=20, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fp = iterate_fixed_point(rwf, gaussian_dist(0.3), 10.0, 0.0, cfg)
+    assert fp.iterations >= 1
+    residuals = fixed_point_residuals(fp, rwf, 10.0, 0.0)
+    assert all(np.isfinite(v) for v in residuals.values())
 
 
 def test_noisy_phase_retrieval_converges_near_the_dmft_tail():

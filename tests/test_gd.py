@@ -1,4 +1,4 @@
-"""Tests for the gradient-descent dynamics and Hessian landscape probes."""
+"""Tests for the gradient-descent dynamics and Hessian extremes."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from dmftsim.gd import (
     GdConfig,
     empirical_joint,
     hessian_extremes,
-    hessian_report,
     loss_value,
     recompute_residual,
     run_gd,
@@ -160,16 +159,6 @@ def test_descent_contraction_in_benign_region():
     steps = np.linalg.norm(np.diff(traj.theta, axis=0), axis=1)
     for t in range(1, len(steps)):
         assert steps[t] ** 2 <= r * steps[t - 1] ** 2 * (1 + 1e-9)
-
-
-def test_hessian_report_region_flags():
-    inst = make_instance(60, 20, 1, abs_link(), point_mass_dist(0.0),
-                         gaussian_dist())
-    loss = rwf_loss(smoothstep_profile(9.0, 18.0))
-    traj = run_gd(inst, loss, GdConfig(0.0, 0.0, 2), inst.theta_star.copy())
-    rep = hessian_report(inst, loss, 0.0, traj, radius=0.2)
-    assert rep.in_region.all()
-    assert rep.lam_min.shape == (3,)
 
 
 # ---------------------------------------------------------------------------
