@@ -17,9 +17,10 @@ matrix-vector product X^T ell_i; the second column of g_i is theta*, so the
 second column of every b^i is X theta*, the instance's ``eta_star``, and its
 first needs one product X theta^i.  Both products run as two-way splits
 (``halves``).  For the same reason a table keeps only the first output
-column of each 2x2 coefficient.  The Onsager sums over j <= i are products
-of the stacked histories theta^0..theta^i and ell_0..ell_i with a column of
-the table.
+column of each 2x2 coefficient, and of zeta's only the first entry: its
+second input row multiplies the zero second column of f_j.  The Onsager
+sums over j <= i are products of the stacked histories theta^0..theta^i
+and ell_0..ell_i with a column of the table.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ class OnsagerTable:
 
     Each coefficient is the first output column of a 2x2 matrix with entries
     M[k, l] = E[d(output_l) / d(input_k)]; its second column is zero because
-    f_i has a zero second column and g_i the constant theta*.  Index
-    [..., 0] holds the response channel, [..., 1] the theta* channel.
+    f_i has a zero second column and g_i the constant theta*.  xi's index
+    [..., 0] holds the response channel, [..., 1] the theta* channel; zeta
+    holds the response channel alone.
     """
 
     xi: Array     # (m, m, 2); xi[i, j] valid for j <= i
-    zeta: Array   # (m+1, m+1, 2); zeta[i, j+1] holds zeta_{i,j}, j <= i-1
+    zeta: Array   # (m+1, m+1); zeta[i, j+1] holds zeta_{i,j}, j <= i-1
 
     def __post_init__(self):
         self.validate()
@@ -61,20 +63,19 @@ class OnsagerTable:
     def validate(self) -> None:
         if self.xi.shape != (self.m, self.m, 2):
             raise ValueError("xi must be (m, m, 2)")
-        if self.zeta.shape != (self.m + 1, self.m + 1, 2):
-            raise ValueError("zeta must be (m+1, m+1, 2)")
-        if not np.array_equal(self.zeta[0, 0], [1.0, 0.0]):
-            raise ValueError("zeta_{0,-1} must equal [1, 0]")
+        if self.zeta.shape != (self.m + 1, self.m + 1):
+            raise ValueError("zeta must be (m+1, m+1)")
+        if self.zeta[0, 0] != 1.0:
+            raise ValueError("zeta_{0,-1} must equal 1")
 
 
 def random_onsager_table(m: int, rng: np.random.Generator) -> OnsagerTable:
     """iid N(0,1) entries on and below the diagonal, zeros above it, and
     the fixed zeta_{0,-1}."""
-    def lower(k):
-        return np.where(np.tri(k, dtype=bool)[:, :, None],
-                        rng.standard_normal((k, k, 2)), 0.0)
-    xi, zeta = lower(m), lower(m + 1)
-    zeta[0, 0] = (1.0, 0.0)
+    xi = np.where(np.tri(m, dtype=bool)[:, :, None],
+                  rng.standard_normal((m, m, 2)), 0.0)
+    zeta = np.tril(rng.standard_normal((m + 1, m + 1)))
+    zeta[0, 0] = 1.0
     return OnsagerTable(xi=xi, zeta=zeta)
 
 
@@ -86,10 +87,10 @@ def onsager_from_dmft(state: DmftState, m: int) -> OnsagerTable:
             f"DMFT horizon too short for m={m}: theta side at {state.t_theta}, "
             f"eta side at {state.t_eta}")
     delta = state.delta
-    zeta = np.zeros((m + 1, m + 1, 2))
-    zeta[0, 0, 0] = 1.0
-    zeta[1:, 0, 0] = state.r_theta_dia[1:m + 1]
-    zeta[1:, 1:, 0] = np.tril(delta * state.R_theta[1:m + 1, :m])
+    zeta = np.zeros((m + 1, m + 1))
+    zeta[0, 0] = 1.0
+    zeta[1:, 0] = state.r_theta_dia[1:m + 1]
+    zeta[1:, 1:] = np.tril(delta * state.R_theta[1:m + 1, :m])
     xi = np.zeros((m, m, 2))
     if m == 0:
         return OnsagerTable(xi=xi, zeta=zeta)
@@ -160,8 +161,12 @@ def run_spectral_amp(
     theta_rec[0] = theta0
     eta_rec[0] = (1.0 + Ty) * b0
     ells[0] = loss.ell(eta_rec[0], b_star, z)
-    xi, zeta = onsager.xi, onsager.zeta
-    rxi, rzeta = recon.xi, recon.zeta
+    # zeta's rows are read with a non-unit stride (Fortran order): OpenBLAS's
+    # gemv adds the last two or three terms of a strided vector one at a
+    # time and those of a unit-stride one as a pair, and the AMP iterates
+    # keep the bits of the strided sums
+    xi, zeta = onsager.xi, np.asfortranarray(onsager.zeta)
+    rxi, rzeta = recon.xi, np.asfortranarray(recon.zeta)
 
     for i in range(m):
         thetas, ell_hist = theta_rec[:i + 1], ells[:i + 1]
@@ -180,10 +185,10 @@ def run_spectral_amp(
 
         # b^{i+1} and the reconstruction of X theta^{i+1}; the second column
         # of b^{i+1} is X theta* because g_{i+1} = (theta^{i+1}, theta*)
-        b_iters[i + 1] = (matvec(X, theta_rec[i + 1]) - extra * zeta[i + 1, 0, 0]
-                          + (zeta[i + 1, 1:i + 2, 0] @ ell_hist) / delta)
-        eta_rec[i + 1] = (b_iters[i + 1] + Ty * b0 * rzeta[i + 1, 0, 0]
-                          - (rzeta[i + 1, 1:i + 2, 0] @ ell_hist) / delta)
+        b_iters[i + 1] = (matvec(X, theta_rec[i + 1]) - extra * zeta[i + 1, 0]
+                          + (zeta[i + 1, 1:i + 2] @ ell_hist) / delta)
+        eta_rec[i + 1] = (b_iters[i + 1] + Ty * b0 * rzeta[i + 1, 0]
+                          - (rzeta[i + 1, 1:i + 2] @ ell_hist) / delta)
         ells[i + 1] = loss.ell(eta_rec[i + 1], b_star, z)
 
     return AmpRun(a_iters=a_iters, b_iters=b_iters,

@@ -208,9 +208,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     stages = tuple(s.strip() for s in _get(cp, "outputs", "stages").split(",")
                    if s.strip())
-    for s in stages:
+    if not stages:
+        raise ConfigError("field outputs.stages: names no stage")
+    for i, s in enumerate(stages):
         if s not in STAGE_NAMES:
             raise ConfigError(f"field outputs.stages: unknown stage {s!r}")
+        if s in stages[:i]:
+            raise ConfigError(f"field outputs.stages: stage {s!r} is repeated")
     init = _choose(cp, "algo", "init")
     if "amp-check" in stages and init != "spectral":
         raise ConfigError(

@@ -210,24 +210,16 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
     until g > 0, so a positive stretch of g below the start is found too;
     NoRootError is raised when 60 halvings find none.
 
-    Bisection runs for at most 200 steps and stops when the bracket's width
-    falls to 1e-16 relative, or as soon as a step leaves (lo, hi) unchanged:
-    g is deterministic, so from that step on every further step repeats it,
-    and stopping gives the bits that running all 200 steps gives.  (For
-    hi >= 0.5 the width rule lies below one ulp, so it fires only on a
-    bracket collapsed to a point.)  The root is the bracket's midpoint.
-
-    Most midpoints are decided without evaluating g (``roots.MonotoneSigns``,
-    with the same decisions and so the same bits).  One pass over the pool
+    [0, hi] is then bisected to a width of 1e-16 (``roots.bisect``), and
+    most midpoints are decided without evaluating g.  One pass over the pool
     at the bracket's upper end checks lambda + delta mean[d1 / (1 + d1
     hi)^2] > 0 beyond its rounding error; each term of that mean only grows
     toward R = 0, so g is increasing on [0, hi].  The same pass gives a
     bound B on the rounding error of computed g anywhere on [0, hi]
     (``_g_error``: the roundings of each term, carried to first order and
-    doubled, plus Higham's bound for numpy's pairwise sum).  A midpoint at
-    or above an evaluated point where g > 2B then has g > 0, one at or below
-    a point where g < -2B has g < 0, and only the midpoints between are
-    evaluated.  A pool that fails the check has every midpoint evaluated.
+    doubled, plus Higham's bound for numpy's pairwise sum), under which the
+    bisection evaluates only the midpoints that no evaluated point decides.
+    A pool that fails the check has every midpoint evaluated.
     g(R) is evaluated in two work buffers of the pool's size, allocated once
     per call, and the pass reuses them.
     """
@@ -262,21 +254,7 @@ def solve_R_theta(d1_pool: Array, delta: float, lambda_ridge: float) -> float:
             break
         hi = 2.0 * hi if 2.0 * hi < cap else hi + 0.5 * (cap - hi)
     bound = _g_error(d1, delta, lambda_ridge, hi, 1.0 - hi / r_pole, q, ratio)
-    sign = g if bound is None else roots.MonotoneSigns(g, bound, 0.0, -1.0, hi, g_hi)
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sign(mid) > 0.0:
-            if hi == mid:
-                break
-            hi = mid
-        else:
-            if lo == mid:
-                break
-            lo = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return float(0.5 * (lo + hi))
+    return roots.bisect(g, 0.0, -1.0, hi, g_hi, 1e-16, bound)
 
 
 def _g_error(d1: Array, delta: float, lambda_ridge: float, hi: float,
@@ -389,10 +367,13 @@ def iterate_fixed_point(
         params_new = np.array([C_new[0, 0], C_new[0, 1], R_theta_new, R_eta,
                                R_eta_star, Gamma, C_eta])
         if not np.all(np.isfinite(params_new)):
+            advice = ("the run diverged from the DMFT warm start "
+                      "(fixedpoint.warm_start = dmft)" if init is not None else
+                      "set fixedpoint.warm_start = dmft to start near the "
+                      "dynamically relevant branch")
             raise FloatingPointError(
                 f"fixed-point iteration diverged at outer step {it} "
-                f"(params {params_new}); set fixedpoint.warm_start = dmft to "
-                "start near the dynamically relevant branch")
+                f"(params {params_new}); {advice}")
         if params_prev is not None:
             change = float(np.max(np.abs(params_new - params_prev)))
             trace.append(change)

@@ -1,4 +1,5 @@
-"""Bisection signs certified by a rounding-error bound.
+"""The package's one bisection loop, and its signs certified by a
+rounding-error bound.
 
 A bisection asks only for the sign of f at its midpoints.  Let f be
 nondecreasing on the bracket, and let its computed value differ from the
@@ -7,10 +8,10 @@ point x with computed f(x) > 2B proves that the computed f is positive at
 every larger point of the bracket: there the exact f exceeds B.  Likewise
 computed f(x) < -2B proves it negative at every smaller point.
 ``MonotoneSigns`` answers such midpoints from the points it has evaluated,
-so a bisection that asks it in place of f makes the same decisions, and
-returns the same bits, as one that evaluates every midpoint.  Only the
-midpoints in the band around the root that no evaluated point decides are
-evaluated.
+so ``bisect``, which asks it in place of f when given B, makes the same
+decisions, and returns the same bits, as evaluating every midpoint.  Only
+the midpoints in the band around the root that no evaluated point decides
+are evaluated.
 
 The bounds follow Higham, "The accuracy of floating point summation", SIAM
 J. Sci. Comput. 14 (1993): a sum in which every term passes through at most
@@ -124,3 +125,30 @@ class MonotoneSigns:
                 if abs(self._eval(y)) > self.band:
                     break
                 step *= 4.0
+
+
+def bisect(f, lo: float, f_lo: float, hi: float, f_hi: float, xtol: float,
+           bound: float | None = None) -> float:
+    """The package's one bisection loop, for a sign change of f on [lo, hi]
+    with f(lo) = f_lo <= 0 < f_hi = f(hi).  A midpoint where f > 0 becomes
+    the upper end and any other midpoint (an exact zero too) the lower end.
+    The loop stops at hi - lo <= xtol, at a step that leaves the bracket
+    unchanged (f is deterministic, so every further step would repeat it),
+    or after 200 steps, and returns the last bracket's midpoint.  Given a
+    rounding-error ``bound`` B, the signs come from ``MonotoneSigns``, with
+    the decisions, and so the bits, of evaluating f at every midpoint.
+    """
+    sign = f if bound is None else MonotoneSigns(f, bound, lo, f_lo, hi, f_hi, xtol)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sign(mid) > 0.0:
+            if hi == mid:
+                break
+            hi = mid
+        else:
+            if lo == mid:
+                break
+            lo = mid
+        if hi - lo <= xtol:
+            break
+    return float(0.5 * (lo + hi))

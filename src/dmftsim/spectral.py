@@ -237,11 +237,9 @@ def solve_lambda_star(
     zeta_delta(lambda) = psi_delta(max(lambda, lambda_bar)), and evaluate the
     overlap formula and the limiting top-two eigenvalues of M_n.
 
-    lambda_bar is psi's golden-section minimizer.  lambda* is bisected on
-    [lo, hi], lo just below lambda_bar, and the bisection evaluates only
-    the midpoints whose sign no evaluated point certifies
-    (``roots.MonotoneSigns`` under the bound of ``_root_fn_error``), with
-    the decisions, and so the bits, of evaluating every midpoint."""
+    lambda_bar is psi's golden-section minimizer.  lambda* is bisected
+    (``roots.bisect``) to a width of 1e-10 on [lo, hi], lo just below
+    lambda_bar, under the rounding-error bound of ``_root_fn_error``."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     quad = quad or QuadratureSpec()
@@ -302,9 +300,7 @@ def solve_lambda_star(
 
     bound = _root_fn_error(integ, delta, lam_bar, frac_bar,
                            max(psi_bar, zeta_hi) + phi_lo)
-    sign = root_fn if bound is None else roots.MonotoneSigns(
-        root_fn, bound, lo, f_lo, hi, f_hi, width=1e-10)
-    lam_star = _bisect(sign, lo, f_lo, hi, xtol=1e-10, max_iter=200)
+    lam_star = roots.bisect(root_fn, lo, f_lo, hi, f_hi, 1e-10, bound)
 
     psp = psi_prime(max(lam_star, lam_bar))
     php = phi_prime(lam_star)
@@ -392,25 +388,6 @@ def _root_fn_error(integ: EtaIntegrals, delta: float, lam_bar: float,
             return None
         dip = (err - slope) * (x1 - lam_bar)
     return rel * scale + dip
-
-
-def _bisect(f, lo: float, f_lo: float, hi: float, xtol: float,
-            max_iter: int) -> float:
-    """Bisection for a sign change of f on [lo, hi], f_lo = f(lo)."""
-    if f_lo == 0.0:
-        return lo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo <= xtol:
-            return 0.5 * (lo + hi)
-    raise RuntimeError(f"bisection did not converge after {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -51,29 +51,32 @@ def setup():
 
 def test_structural_zeros_enforced():
     xi = np.zeros((2, 2, 2))
-    zeta = np.zeros((3, 3, 2))
-    zeta[0, 0, 0] = 1.0
+    zeta = np.zeros((3, 3))
+    zeta[0, 0] = 1.0
     OnsagerTable(xi=xi, zeta=zeta)  # valid
-    for bad in ((0.5, 0.0), (1.0, 0.3)):
+    for bad in (0.5, 0.0):
         bad_init = zeta.copy()
         bad_init[0, 0] = bad
         with pytest.raises(ValueError, match="zeta_{0,-1}"):
             OnsagerTable(xi=xi, zeta=bad_init)
-    # the 2x2 blocks with a stored second output column are refused
+    # the 2x2 blocks with a stored second output column are refused, and so
+    # is zeta's dead theta* channel
     with pytest.raises(ValueError, match=r"xi must be \(m, m, 2\)"):
         OnsagerTable(xi=np.zeros((2, 2, 2, 2)), zeta=zeta)
-    with pytest.raises(ValueError, match=r"zeta must be \(m\+1, m\+1, 2\)"):
-        OnsagerTable(xi=xi, zeta=np.zeros((3, 3, 2, 2)))
+    for shape in ((3, 3, 2), (3, 3, 2, 2), (2, 2)):
+        with pytest.raises(ValueError, match=r"zeta must be \(m\+1, m\+1\)"):
+            OnsagerTable(xi=xi, zeta=np.zeros(shape))
 
 
 def test_random_table_respects_zeros():
     rng = np.random.default_rng(0)
     table = random_onsager_table(5, rng)
+    assert table.xi.shape == (5, 5, 2) and table.zeta.shape == (6, 6)
     for M, k in ((table.xi, 5), (table.zeta, 6)):
         upper = ~np.tri(k, dtype=bool)
         assert np.all(M[upper] == 0.0)
         assert np.all(M[~upper][1:] != 0.0)
-    assert np.array_equal(table.zeta[0, 0], [1.0, 0.0])
+    assert table.zeta[0, 0] == 1.0
 
 
 def onsager_from_dmft_per_entry(state, m):
@@ -81,12 +84,12 @@ def onsager_from_dmft_per_entry(state, m):
     expression per entry."""
     delta = state.delta
     xi = np.zeros((m, m, 2))
-    zeta = np.zeros((m + 1, m + 1, 2))
-    zeta[0, 0, 0] = 1.0
+    zeta = np.zeros((m + 1, m + 1))
+    zeta[0, 0] = 1.0
     for i in range(1, m + 1):
-        zeta[i, 0, 0] = state.r_theta_dia[i]
+        zeta[i, 0] = state.r_theta_dia[i]
         for j in range(i):
-            zeta[i, j + 1, 0] = delta * state.R_theta[i, j]
+            zeta[i, j + 1] = delta * state.R_theta[i, j]
     for i in range(m):
         if i == 0:
             xi[0, 0, 0] = state.e_d1_T_t0
@@ -125,8 +128,8 @@ def test_onsager_from_dmft_values(setup):
     table = onsager_from_dmft(st, m)
     delta = st.delta
     for t in range(1, m + 1):
-        assert table.zeta[t, t, 0] == delta * setup["gamma"]
-        assert table.zeta[t, 0, 0] == st.r_theta_dia[t]
+        assert table.zeta[t, t] == delta * setup["gamma"]
+        assert table.zeta[t, 0] == st.r_theta_dia[t]
     # xi_{0,0} carries the extra (1 + T(y)) factor
     assert table.xi[0, 0, 0] == st.e_d1_T_t0
     for t in range(1, m):
@@ -148,8 +151,8 @@ def test_first_step_with_zero_table(setup):
     # all-zero corrections except the structural zeta_{0,-1}
     m = 1
     xi = np.zeros((m, m, 2))
-    zeta = np.zeros((m + 1, m + 1, 2))
-    zeta[0, 0, 0] = 1.0
+    zeta = np.zeros((m + 1, m + 1))
+    zeta[0, 0] = 1.0
     table = OnsagerTable(xi=xi, zeta=zeta)
     inst, sol = setup["inst"], setup["sol"]
     run = run_spectral_amp(inst, PRE3, sol, setup["spec"].theta0, table, RWF,

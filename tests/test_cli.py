@@ -393,6 +393,8 @@ CASE_CONTEXT = {
     ("algo", "init", "random"),
     ("fixedpoint", "warm_start", "cold"),
     ("outputs", "stages", "spectral,plot"),
+    ("outputs", "stages", ""),
+    ("outputs", "stages", "dmft,dmft"),
     ("model", "signal", "point"),         # a point mass at 0: no signal
     ("model", "link", "foo"),
     ("model", "noise", "foo"),

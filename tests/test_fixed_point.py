@@ -395,8 +395,17 @@ def test_solve_eta_returns_the_loss_values_at_its_roots():
 
 def test_divergence_names_the_warm_start_field(monkeypatch):
     monkeypatch.setattr(fixed_point, "solve_R_theta", lambda d1, delta, lam: np.nan)
-    with pytest.raises(FloatingPointError, match="fixedpoint.warm_start"):
+    with pytest.raises(FloatingPointError, match="fixedpoint.warm_start") as cold:
         iterate_fixed_point(RWF, gaussian_dist(0.3), 10.0, 0.0, SolverConfig(K=100))
+    assert "set fixedpoint.warm_start = dmft" in str(cold.value)
+    # a warm-started run is not told to warm-start
+    init = (np.array([[1.0, 0.5], [0.5, 1.0]]), 0.5)
+    with pytest.raises(FloatingPointError, match="fixedpoint.warm_start") as warm:
+        iterate_fixed_point(RWF, gaussian_dist(0.3), 10.0, 0.0, SolverConfig(K=100),
+                            init=init)
+    assert "from the DMFT warm start" not in str(cold.value)
+    assert "from the DMFT warm start" in str(warm.value)
+    assert "set fixedpoint.warm_start" not in str(warm.value)
 
 
 def newton_eta(R, w_inf, ev):

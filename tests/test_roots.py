@@ -1,10 +1,11 @@
-"""Tests for the certified bisection signs."""
+"""Tests for the bisection loop and its certified signs."""
 
 import math
 
 import numpy as np
 import pytest
 
+from dmftsim import roots
 from dmftsim.roots import MonotoneSigns, sum_error
 
 
@@ -19,8 +20,8 @@ def test_sum_error_bounds_numpy_sums(n):
 
 
 def bisect(sign, lo, hi):
-    """Bisection with the stop rules of fixed_point.solve_R_theta; returns
-    the final bracket and the side taken at each step."""
+    """Bisection with the stall rule of roots.bisect and no width rule;
+    returns the final bracket and the side taken at each step."""
     sides = []
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -78,3 +79,45 @@ def test_undecided_points_are_evaluated_and_kept():
     assert signs(0.5) == f(0.5) and calls[0] == 2     # in the band
     assert signs(0.496) < -2e-3 and calls[0] == 3     # decides below it
     assert signs(0.4955) == -1.0 and calls[0] == 3
+
+
+def test_bisect_takes_an_exact_zero_as_the_lower_end():
+    f, _ = noisy(lambda x: x - 0.25, 0.0)
+    # f(0.5) > 0, then f(0.25) == 0 exactly: the bracket moves up to 0.25
+    root = roots.bisect(f, 0.0, f(0.0), 1.0, f(1.0), 1e-10)
+    assert 0.25 < root <= 0.25 + 1e-10
+    # so does an exact zero at the lower end
+    root = roots.bisect(f, 0.25, 0.0, 1.0, f(1.0), 1e-10)
+    assert 0.25 < root <= 0.25 + 1e-10
+
+
+@pytest.mark.parametrize("lo, hi, value", [
+    (1.0, math.nextafter(1.0, 2.0), -1.0),      # the midpoint rounds to lo
+    (math.nextafter(1.0, 0.0), 1.0, 1.0),       # the midpoint rounds to hi
+])
+def test_bisect_stops_on_a_bracket_of_adjacent_doubles(lo, hi, value):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return value
+    root = roots.bisect(f, lo, -1.0, hi, 1.0, 0.0)
+    assert calls == [root] and root in (lo, hi)
+
+
+@pytest.mark.parametrize("exact, bound", [
+    (lambda x: x - 0.3, 1e-14),
+    (lambda x: math.expm1(4.0 * x) - 2.0, 1e-13),
+])
+@pytest.mark.parametrize("xtol", [1e-10, 1e-16])
+def test_bisect_under_a_bound_returns_the_bits_of_full_evaluation(exact, bound, xtol):
+    f, calls = noisy(exact, bound)
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = f(lo), f(hi)
+    calls[0] = 0
+    full = roots.bisect(f, lo, f_lo, hi, f_hi, xtol)
+    n_full = calls[0]
+    calls[0] = 0
+    certified = roots.bisect(f, lo, f_lo, hi, f_hi, xtol, bound)
+    assert certified.hex() == full.hex()
+    assert calls[0] < n_full
