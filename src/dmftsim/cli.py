@@ -346,10 +346,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        field = "outputs.directory" + (" (--out)" if args.out is not None else "")
+        print(f"config error: field {field}: cannot create directory "
+              f"{str(out_dir)!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     if args.subcommand == "pipeline":
         return run_pipeline(cfg, out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner = Runner(cfg, out_dir)
     try:
         result = Runner.STAGES[args.subcommand](runner)

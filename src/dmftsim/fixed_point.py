@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import halves, roots
+from . import roots
 from .dmft import fmean
 from .model import LossModel, ScalarDist, gaussian_dist
 
@@ -90,23 +90,21 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
     sample, and ell, d1ell and d2ell at them.
 
     Newton from eta = w_inf with bisection fallback on the bracket
-    [w_inf - R B, w_inf + R B].  Newton runs on the two halves of the pool
-    at once (``halves.on_halves``), each on its own until its samples are
-    done.  Each Newton step makes one fused evaluation (``loss.evaluator``,
-    d2ell included) over its half and moves only the samples whose residual
-    still exceeds the tolerance; a sample that met it keeps its eta, so its
-    residual is recomputed from the same bits, and the roots are those of
-    Newton over the whole pool.  The evaluation at which Newton stops
-    serves the residual check, the stability test and the returned values.
+    [w_inf - R B, w_inf + R B].  Each Newton step makes one fused
+    evaluation (``loss.evaluator``, d2ell included) over the whole pool and
+    moves only the samples whose residual still exceeds the tolerance; a
+    sample that met it keeps its eta, so its residual is recomputed from the
+    same bits.  The evaluation at which Newton stops serves the residual
+    check, the stability test and the returned values.
 
     A root is stable when F' = 1 + R d1ell > 0 there.  Every sample whose
     Newton iterate misses the residual tolerance, leaves the bracket or is
-    not stable goes to one fallback call (``_bisect_eta``) on the caller,
-    and only those samples are evaluated again.  The fallback is the one
-    place where a root is chosen among several: it keeps the upward
-    crossing of F nearest to w_inf.  A warning counts the fallback samples
-    whose bracket scan shows more than one upward crossing, the samples
-    where that choice was made; a sample Newton solves is not counted.
+    not stable goes to one fallback call (``_bisect_eta``), and only those
+    samples are evaluated again.  The fallback is the one place where a
+    root is chosen among several: it keeps the upward crossing of F nearest
+    to w_inf.  A warning counts the fallback samples whose bracket scan
+    shows more than one upward crossing, the samples where that choice was
+    made; a sample Newton solves is not counted.
     ``pool_eval`` is ``loss.evaluator(w_star, z)`` when a caller holds it.
     """
     w_inf = np.asarray(w_inf, dtype=float)
@@ -116,27 +114,17 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
     eta = w_inf.copy()
     if R == 0.0:
         return (eta, *ev(eta, d2=True))
-    K = eta.size
-    ell, d1, d2 = np.empty(K), np.empty(K), np.empty(K)
-
-    def newton(lo, hi):
-        # the Newton loop on eta[lo:hi]; ell, d1, d2 at its last iterate
-        idx = slice(lo, hi)
-        e, w = eta[idx], w_inf[idx]
-        for _ in range(25):
-            el, g1, g2 = ev(e, idx, d2=True)
-            f = e + R * el - w
-            todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
-            if not np.any(todo):
-                break
-            fp = 1.0 + R * g1
-            safe = np.abs(fp) >= 1e-3
-            np.copyto(e, e - f / np.where(safe, fp, 1.0), where=todo & safe)
-        else:
-            el, g1, g2 = ev(e, idx, d2=True)
-        ell[idx], d1[idx], d2[idx] = el, g1, g2
-
-    halves.on_halves(newton, K)
+    for _ in range(25):
+        ell, d1, d2 = ev(eta, d2=True)
+        f = eta + R * ell - w_inf
+        todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
+        if not np.any(todo):
+            break
+        fp = 1.0 + R * d1
+        safe = np.abs(fp) >= 1e-3
+        np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
+    else:
+        ell, d1, d2 = ev(eta, d2=True)
 
     half = abs(R) * loss.ell_bound if loss.ell_bound is not None else None
     bad = (np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL) | (1.0 + R * d1 <= 0.0)
@@ -153,7 +141,7 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
         if n_multi:
             warnings.warn(
                 f"eta fixed-point equation shows multiple crossings on "
-                f"{n_multi} of {K} samples; nearest stable root to "
+                f"{n_multi} of {eta.size} samples; nearest stable root to "
                 "w_inf kept", RuntimeWarning)
     return eta, ell, d1, d2
 

@@ -1,18 +1,24 @@
-"""Two-way splits of the heavy kernels: one half runs on a worker thread
+"""Two-way splits of the BLAS kernels: one half runs on a worker thread
 while the caller runs the other.
 
 The split point depends on the extent alone, never on the core count, and
 every split computes each output element as the unsplit kernel does (for
 the syrk split, under the measured conditions noted at ALIGN and
 SYRK_ROWS), so with one BLAS thread the results are bitwise those of the
-serial code on any number of cores.  A split that calls BLAS runs only
-when its library reports one BLAS thread (``blas_threads``); otherwise each
-half's call would start BLAS threads of its own on the same cores, so the
-whole extent runs on the caller.  A worker runs only numpy or BLAS on
-slices (and the fixed point's pool evaluator), which release the
-interpreter lock, and never a function that calls ``on_halves`` itself:
-the one worker would wait on itself.  numpy's ``errstate`` is per thread,
-so a split function that needs one must enter it itself.
+serial code on any number of cores.  A split runs only when its library
+reports one BLAS thread (``blas_threads``); otherwise each half's call
+would start BLAS threads of its own on the same cores, so the whole extent
+runs on the caller.  The worker runs only BLAS calls (``matvec``,
+``rmatvec``, ``syrk_lower``), never a function that calls ``on_halves``
+itself: the one worker would wait on itself.
+
+Only BLAS is split.  With numpy 2.4.6 and one BLAS thread on two x86-64
+cores, two threads running BLAS products ran at once, while two threads
+running ``np.subtract`` on the halves of an array ran one at a time
+(process CPU time equal to wall time), and the lambda* fractions ran no
+faster split.  The fixed point's Newton loop did run faster split, but
+only by running the loss evaluator on the worker; it runs on one thread
+so that no model code (which a profiler may wrap) runs off the caller.
 """
 
 from __future__ import annotations

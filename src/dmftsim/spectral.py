@@ -167,10 +167,10 @@ class EtaIntegrals:
     Precomputes Z_s = Ts(phi(G, z)) and the lambda-independent products
     ``wZ = weights * Z_s`` and ``wZG2 = weights * Z_s * G^2`` on the product
     grid.  Each lambda-evaluation divides one of them by lam - Z_s (or its
-    square) in a reused buffer, elementwise in two halves (``halves``), and
-    sums the whole buffer in a fixed order; Python multiplies left to right,
-    so the values are bitwise those of the weighted sums written out in
-    full, e.g. ``sum(weights * Z_s * G^2 / (lam - Z_s))``.
+    square) in a reused buffer and sums the buffer in a fixed order; Python
+    multiplies left to right, so the values are bitwise those of the
+    weighted sums written out in full, e.g.
+    ``sum(weights * Z_s * G^2 / (lam - Z_s))``.
     """
 
     def __init__(self, pre: PreProcess, link: LinkFunction, noise: ScalarDist,
@@ -199,15 +199,10 @@ class EtaIntegrals:
         if lam <= self.tau * (1.0 + POLE_GUARD):
             raise ValueError(
                 f"lambda={lam!r} too close to the pole at tau={self.tau!r}")
-        buf = self._buf
-
-        def part(lo, hi):
-            b = np.subtract(lam, self.Zs[lo:hi], out=buf[lo:hi])
-            if power == 2:
-                np.square(b, out=b)
-            np.divide(num[lo:hi], b, out=b)
-        halves.on_halves(part, buf.size)
-        return float(np.sum(buf))
+        buf = np.subtract(lam, self.Zs, out=self._buf)
+        if power == 2:
+            np.square(buf, out=buf)
+        return float(np.sum(np.divide(num, buf, out=buf)))
 
     def e_frac(self, lam: float) -> float:
         """E[Z_s / (lam - Z_s)]."""

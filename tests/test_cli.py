@@ -503,6 +503,28 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
 
 
+@pytest.mark.parametrize("subcommand,out,given", [
+    ("spectral", "afile", True),          # --out is a regular file
+    ("pipeline", "afile/sub", True),      # --out lies under one
+    ("pipeline", "afile/sub", False),     # outputs.directory lies under one
+])
+def test_uncreatable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                        subcommand, out, given):
+    def no_stage(runner):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(Runner, "STAGES", dict.fromkeys(Runner.STAGES, no_stage))
+    (tmp_path / "afile").write_text("kept")
+    out = tmp_path / out
+    path = write_cfg(tmp_path, out=str(out) if not given else str(tmp_path / "unused"))
+    argv = [subcommand, "--config", str(path)] + (["--out", str(out)] if given else [])
+    assert main(argv) == 2
+    field = "outputs.directory (--out)" if given else "outputs.directory"
+    assert capsys.readouterr().err.startswith(
+        f"config error: field {field}: cannot create directory {str(out)!r}: ")
+    assert (tmp_path / "afile").read_text() == "kept"
+    assert not (tmp_path / "unused").exists()
+
+
 def test_pipeline_builds_the_loss_once(tmp_path, monkeypatch):
     built = []
     rwf_loss = config.rwf_loss
@@ -652,8 +674,8 @@ def test_benchmark_tracer_sees_only_the_main_thread(tmp_path):
     # the split kernels' workers must not call a name bench/tracer.py wraps:
     # its span stack is shared by all threads.  Every traced call asserts
     # that it runs on the main thread, through pipelines of both shipped
-    # configs at sizes where every split site splits (n, d, K and the
-    # lambda* grid at least halves.MIN_SPLIT).
+    # configs at sizes where every split site splits (n and d at least
+    # halves.MIN_SPLIT; the smaller grid and pools keep the run short).
     root = Path(__file__).resolve().parents[1]
     sizes = {"model": {"n": "2100", "d": "1100"}, "algo": {"m": "3"},
              "spectral": {"gh_nodes": "32", "z_samples": "2000"},

@@ -580,18 +580,17 @@ def test_unconverged_iteration_states_its_reason():
 def test_eta_pool_is_evaluated_once_per_newton_iterate(monkeypatch):
     # every pool evaluation carries d2ell, and the one at which Newton stops
     # is at the returned roots, so no evaluation repeats the one before it.
-    # Newton runs on each half of the pool, a slice of it; the fallbacks'
-    # index arrays are skipped.
-    calls = {}
+    # Newton runs on the whole pool (idx None); the fallbacks' index arrays
+    # are skipped.
+    calls = []
     evaluator = LossModel.evaluator
 
     def recording(self, b, c):
         ev = evaluator(self, b, c)
 
         def rec(a, idx=None, d2=False):
-            if isinstance(idx, slice):
-                calls.setdefault((idx.start, idx.stop), []).append(
-                    (np.array(a, copy=True), d2))
+            if idx is None:
+                calls.append((np.array(a, copy=True), d2))
             return ev(a, idx, d2=d2)
         return rec
     monkeypatch.setattr(LossModel, "evaluator", recording)
@@ -607,13 +606,12 @@ def test_eta_pool_is_evaluated_once_per_newton_iterate(monkeypatch):
             warnings.simplefilter("ignore", RuntimeWarning)
             st = iterate_fixed_point(loss, noise, delta, lam, cfg, init=init)
         assert st.iterations > 2
-        assert len(calls) == 2    # K = 5000 is split into two halves
-        for half in calls.values():
-            assert all(d2 for _, d2 in half)
-            assert not any(np.array_equal(a, b)
-                           for (a, _), (b, _) in zip(half, half[1:]))
-            # Newton stops after at least one step on every outer step
-            assert 2 * st.iterations <= len(half) < 25 * st.iterations
+        assert calls and all(a.shape == (5000,) for a, _ in calls)   # one pool
+        assert all(d2 for _, d2 in calls)
+        assert not any(np.array_equal(a, b)
+                       for (a, _), (b, _) in zip(calls, calls[1:]))
+        # Newton stops after at least one step on every outer step
+        assert 2 * st.iterations <= len(calls) < 25 * st.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
-"""Tests of the two-way kernel splits: the helper, a failing half, and the
-bits of each split site against its serial form (halves.MIN_SPLIT raised
-above every size), on both sides of the split size.  The sites that call
-BLAS are in split_blas_cases.py, run here with one BLAS thread."""
+"""Tests of the two-way BLAS splits: the helper, a failing half, which
+sites may reach the worker, and (in split_blas_cases.py, run here with one
+BLAS thread) the bits of each BLAS site against its serial form."""
 
 import os
 import subprocess
@@ -15,28 +14,8 @@ import pytest
 
 from dmftsim import halves
 from dmftsim.fixed_point import SolverConfig, _solve_eta_pool, iterate_fixed_point
-from dmftsim.model import (
-    gaussian_dist,
-    linear_link,
-    phase_preprocess,
-    pseudo_huber_loss,
-    rwf_loss,
-    smoothstep_profile,
-)
-from dmftsim.spectral import EtaIntegrals, QuadratureSpec
-
-PRE3 = phase_preprocess(3.0)
-RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
-
-
-@pytest.fixture
-def serial(monkeypatch):
-    """``serial(fn, *args)``: fn with every split site in its serial form."""
-    def run(fn, *args):
-        with monkeypatch.context() as m:
-            m.setattr(halves, "MIN_SPLIT", 10**9)
-            return fn(*args)
-    return run
+from dmftsim.model import gaussian_dist, linear_link, phase_preprocess, pseudo_huber_loss
+from dmftsim.spectral import QuadratureSpec, solve_lambda_star
 
 
 def same_bits(a, b) -> bool:
@@ -179,37 +158,45 @@ def test_blas_split_sites_are_bitwise_serial_in_one_blas_thread():
     assert " passed" in proc.stdout and "failed" not in proc.stdout
 
 
-def test_eta_integrals_equal_serial_sums(serial):
-    quad = QuadratureSpec(gh_nodes=32, z_samples=3001, seed=1)
-    integ = EtaIntegrals(PRE3, linear_link(), gaussian_dist(0.3), quad)
-    assert integ.Zs.size >= halves.MIN_SPLIT
-    for lam in (9.5, 14.0):        # above the pole at tau = 9
-        for fn in (integ.e_frac, integ.e_frac2, integ.e_g2frac, integ.e_g2frac2):
-            assert fn(lam) == serial(fn, lam)
-
-
 # ---------------------------------------------------------------------------
-# the fixed point's eta pool
+# only BLAS reaches the worker: the elementwise Monte Carlo solves run on
+# the caller at sizes above MIN_SPLIT
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("K", [700, 5001])
-def test_eta_pool_equals_serial_newton(serial, K):
+@pytest.fixture
+def no_worker(monkeypatch):
+    def refuse():
+        raise RuntimeError("the worker was asked for")
+    monkeypatch.setattr(halves, "_worker", refuse)
+
+
+def test_lambda_star_runs_on_the_caller(no_worker):
+    quad = QuadratureSpec(gh_nodes=16, z_samples=2000, seed=1)
+    assert quad.gh_nodes * quad.z_samples >= halves.MIN_SPLIT
+    sol = solve_lambda_star(phase_preprocess(2.0), linear_link(), gaussian_dist(0.3),
+                            2.0, quad)
+    assert sol.lambda_star > sol.tau
+
+
+def test_eta_pool_runs_on_the_caller(no_worker):
+    K = 5001
     rng = np.random.default_rng(K)
-    w_star, w_inf = rng.standard_normal(K), 1.1 * rng.standard_normal(K)
-    cases = [(RWF, np.zeros(K), 0.03),
-             (pseudo_huber_loss(1.0), 0.3 * rng.standard_normal(K), 0.4)]
-    for loss, z, R in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = _solve_eta_pool(R, w_inf, w_star, z, loss)
-            ref = serial(_solve_eta_pool, R, w_inf, w_star, z, loss)
-        assert all(same_bits(a, b) for a, b in zip(got, ref))
+    w_star, w_inf, z = rng.standard_normal(K), rng.standard_normal(K), rng.standard_normal(K)
+    eta, ell, _, _ = _solve_eta_pool(0.4, w_inf, w_star, 0.3 * z, pseudo_huber_loss(1.0))
+    assert np.all(np.abs(eta + 0.4 * ell - w_inf) <= 1e-12)
 
 
-def test_fixed_point_equals_serial_run(serial):
-    cfg = SolverConfig(K=4000, damping=0.5, tol=1e-10, max_outer=60, seed=3)
-    args = (pseudo_huber_loss(1.0), gaussian_dist(0.3), 2.0, 0.5, cfg)
-    st, ref = iterate_fixed_point(*args), serial(iterate_fixed_point, *args)
-    assert st.iterations == ref.iterations and st.residual_trace == ref.residual_trace
-    assert same_bits(st.eta_inf, ref.eta_inf)
-    assert same_bits(st.C_theta_inf, ref.C_theta_inf)
+def test_fixed_point_runs_on_the_caller(no_worker):
+    cfg = SolverConfig(K=5001, damping=0.5, tol=1e-8, max_outer=3, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        st = iterate_fixed_point(pseudo_huber_loss(1.0), gaussian_dist(0.3), 2.0, 0.5, cfg)
+    assert st.iterations == 3
+
+
+def test_blas_product_reaches_the_worker(no_worker, monkeypatch):
+    # the control: a split BLAS site does ask for the refused worker
+    monkeypatch.setattr(halves, "blas_threads", lambda package: 1)
+    X = np.ones((2 * halves.MIN_SPLIT, 8))
+    with pytest.raises(RuntimeError, match="worker was asked for"):
+        halves.matvec(X, np.ones(8))
