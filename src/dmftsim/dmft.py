@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import LinkFunction, LossModel, PreProcess, ScalarDist, gaussian_dist
+from .roots import UNIT_ROUNDOFF, sum_error
 from .spectral import LambdaStarSolution
 
 Array = np.ndarray
@@ -32,53 +33,64 @@ BASE_JITTER = 1e-10
 JITTER_LADDER = (1e-8, 1e-6)
 # relative eigenvalue floor below which a covariance block is not PSD
 PSD_FLOOR = 1e-8
-# fmean's per-exponent bin sums stay below 2**53 up to this many elements
-_EXACT_MAX_SIZE = 2**26
 
 
-def fmean(x: Array) -> float:
-    """Mean of a 1-d array as its exactly rounded sum divided by its size.
+def fmean(x: Array) -> float | Array:
+    """Mean of a 1-d array as its exactly rounded sum divided by its size;
+    a 2-d ``(rows, K)`` block gives the array of its rows' means.
 
-    Returns the bits of ``math.fsum(x) / x.size``, so the result does not
-    depend on summation order or thread count.  Each value is an integer
-    mantissa ``hi * 2**26 + lo`` (``|hi| < 2**27``, ``|lo| < 2**26``) times a
-    power of two; both halves are summed per binary exponent with
-    ``np.bincount``, where every partial sum is an integer multiple of the
-    bin's unit below 2**53, hence exact in any order.  The bins are then added
-    as one Python int and rounded once.  Non-finite input, values of 2**996
-    or more (where ``fsum`` may raise on intermediate overflow), more than
-    2**26 elements and all -0.0 input go to ``math.fsum`` itself.
+    Returns the bits of ``math.fsum(x) / x.size`` (per row), so the result
+    does not depend on summation order or thread count.  The sum is found by
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 31, 2008): with sigma = 2**(M + e),
+    2**M >= n + 2 and max|x| < 2**e, the parts q = (x + sigma) - sigma are
+    multiples of 2**-53 sigma whose sum is exact in any order, and the
+    remainders p = x - q are exact.  numpy's sum of p is off by at most
+    ``b = 2 sum_error(n) n 2**-53 sigma``; when the parts' sums plus the sum
+    of p round to the same double with b subtracted and with b added, that
+    double is the rounded sum, and otherwise p is extracted again.  All-zero
+    input gives fsum's signed zero.
+    Non-float64, empty or non-finite input, values of 2**900 or more and
+    sigma below 2**-900 go to ``math.fsum`` itself.
     """
-    s = _exact_sum(x)
-    return (math.fsum(x) if s is None else s) / x.size
+    if x.ndim == 2:
+        buf = np.empty(x.shape[1])
+        return np.array([_exact_sum(row, buf) for row in x]) / x.shape[1]
+    return _exact_sum(x, np.empty(x.size)) / x.size
 
 
-def _exact_sum(x: Array) -> Optional[float]:
-    """The correctly rounded sum of x, or None where fsum's own result,
-    error or sign of zero must stand."""
-    if x.ndim != 1 or x.dtype != np.float64 or not 0 < x.size <= _EXACT_MAX_SIZE:
-        return None
-    mant, exp = np.frexp(x)
-    # |mant| < 1 fails on nan and inf; exp > 996 means |x| >= 2**996
-    if not (max(mant.max(), -mant.min()) < 1.0 and exp.max() <= 996):
-        return None
-    mant *= 2.0**27
-    hi = np.trunc(mant)
-    lo = np.subtract(mant, hi, out=mant)
-    emin = int(exp.min())
-    idx = np.subtract(exp, emin, dtype=np.intp)
-    total = sum(int(v) << (b + 26) for b, v in _nonzero_bins(idx, hi))
-    total += sum(int(v * 2.0**26) << b for b, v in _nonzero_bins(idx, lo))
-    if not total:
-        return None if np.signbit(x).all() else 0.0
-    shift = emin - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
-
-
-def _nonzero_bins(idx: Array, weights: Array):
-    sums = np.bincount(idx, weights=weights)
-    nz = np.flatnonzero(sums)
-    return zip(nz.tolist(), sums[nz].tolist())
+def _exact_sum(x: Array, buf: Array) -> float:
+    """The correctly rounded sum of a 1-d x, with buf a work array of its
+    size."""
+    n = x.size
+    if x.dtype != np.float64 or not n:
+        return math.fsum(x)
+    amax = max(x.max(), -x.min())
+    if not amax < 2.0**900:          # nan, inf or too large
+        return math.fsum(x)
+    if amax == 0.0:
+        return math.fsum([-0.0]) if np.signbit(x).all() else 0.0
+    M = (n + 1).bit_length()         # 2**M >= n + 2
+    err = 2.0 * sum_error(n) * n * UNIT_ROUNDOFF    # b / sigma
+    taus = []
+    p = x
+    while True:
+        sigma = math.ldexp(1.0, M + math.frexp(amax)[1])
+        if sigma < 2.0**-900:
+            return math.fsum(x)
+        q = np.add(p, sigma, out=buf)
+        q -= sigma
+        taus.append(float(q.sum()))
+        p = np.subtract(p, q, out=buf)
+        p_sum = float(p.sum())
+        b = err * sigma
+        lo = math.fsum([*taus, p_sum, -b])
+        if lo == math.fsum([*taus, p_sum, b]):
+            return lo
+        amax = max(p.max(), -p.min())
+        if amax == 0.0:
+            return math.fsum(taus)
+        p = p.copy()                 # buf takes the next round's parts
 
 
 @dataclass(frozen=True)
@@ -217,7 +229,9 @@ class DmftState:
     ``R_eta_dd`` and ``e_d1`` are ``(m+1,)`` arrays indexed by t;
     ``Gamma = delta * e_d1``.  The steps write one row or entry at a time;
     the theta and eta pools and ``u_proc.values`` (u_diamond, u^0..) are
-    the law.  The per-path eta responses stay as ``r_eta_ts[t]``, ``(t, K)``.
+    the law.  The per-path eta responses are the ``(t, K)`` views
+    ``r_eta_ts[t]`` of one pool and the ``(K,)`` rows ``r_eta_star[t]``,
+    ``r_eta_dia[t]`` and ``r_eta_dd[t]``, zero until step t writes them.
     """
 
     def __init__(
@@ -269,9 +283,9 @@ class DmftState:
         self.C_eta_dia_dia = 1.0 - self.a**2
         self.e_d1_T_t0: Optional[float] = None  # E[d1ell(eta^0,..)(1 + T(y))]
 
-        # per-path eta responses, filled by step_eta
+        # per-path eta responses, sized by allocate and filled by step_eta
         self.r_eta_ts: dict[int, Array] = {}   # t -> (t, K)
-        self.r_eta_star: list[Array] = []
+        self.r_eta_star: list[Array] = []      # t -> (K,)
         self.r_eta_dia: list[Array] = []
         self.r_eta_dd: list[Array] = []
 
@@ -297,6 +311,15 @@ class DmftState:
         self.etas = np.empty((m + 3, K))        # eta^0..eta^m, w*, z
         self.ell_vals = np.empty((m + 1, K))
         self.d1_vals = np.empty((m + 1, K))
+        self.prods = np.empty((m + 2, K))       # a kernel row's path products
+        # per-path eta responses in zero-filled pools: r_eta_ts[t] is the
+        # (t, K) block of one triangular pool, and each channel's t-th entry
+        # is row t of its own (m+1, K) pool
+        tri = np.zeros((m * (m + 1) // 2, K))
+        self.r_eta_ts = {t: tri[t * (t - 1) // 2: t * (t + 1) // 2]
+                         for t in range(m + 1)}
+        self.r_eta_star, self.r_eta_dia, self.r_eta_dd = (
+            list(pool) for pool in np.zeros((3, m + 1, K)))
         self.u_proc = IncrementalGaussian(m + 1, K, "u-process")  # u_dia, u^0..u^{m-1}
         self.w_proc = IncrementalGaussian(m + 2, K, "w-process")  # w*, w^0..w^m
         self.C_theta = np.zeros((m + 1, m + 1))
@@ -349,7 +372,7 @@ class DmftState:
         pools ``thetas``, ``etas`` and ``u_proc.values`` (and their views
         ``z``, ``theta_star``, ``u_dia``), kernels, responses and PSD
         diagnostics stay; the state can no longer be stepped."""
-        self.ell_vals = self.d1_vals = self.w_star = None
+        self.ell_vals = self.d1_vals = self.prods = self.w_star = None
         self.y = self.Ty = self.Ts_y = self.dd_source = None
         self.r_eta_ts, self.r_eta_star, self.r_eta_dia, self.r_eta_dd = {}, [], [], []
         self.w_proc.innovations = self.w_proc.values = None
@@ -406,42 +429,37 @@ class DmftState:
         d2_t = np.asarray(d2ell(eta_t, self.w_star, self.z), dtype=float)
 
         # per-path responses, row s of r_eta_ts[t] is R_eta(t, s) on the K
-        # paths; the subtractions run in place, products in one scratch buffer
-        acc = np.zeros((t, K))
-        if t > 0:
-            buf = np.empty((t, K))
-            for r in range(1, t):
+        # paths: each row is finished in place before the next, its products
+        # formed in one K-length buffer
+        resp = self.r_eta_ts[t]
+        tmp = np.empty(K)
+        for s, row in enumerate(resp):
+            for r in range(s + 1, t):
                 if R_row[r] != 0.0:
-                    prod = np.multiply(self.r_eta_ts[r], R_row[r], out=buf[:r])
-                    np.subtract(acc[:r], prod, out=acc[:r])
-            for s in range(t):
-                prod = np.multiply(self.d1_vals[s], R_row[s], out=buf[s])
-                np.subtract(acc[s], prod, out=acc[s])
-            np.multiply(acc, d1_t, out=acc)
-        self.r_eta_ts[t] = acc
+                    row -= np.multiply(self.r_eta_ts[r][s], R_row[r], out=tmp)
+            row -= np.multiply(self.d1_vals[s], R_row[s], out=tmp)
+            row *= d1_t
 
         # the three alignment channels: star (source d2ell), diamond (source
         # T(y)) and double diamond (source dd_source)
         dia = self.r_theta_dia[t]
-        for pool, acc in ((self.r_eta_star, np.zeros(K)),
-                          (self.r_eta_dia, self.Ty * dia),
-                          (self.r_eta_dd, self.dd_source * dia)):
+        np.multiply(self.Ty, dia, out=self.r_eta_dia[t])
+        np.multiply(self.dd_source, dia, out=self.r_eta_dd[t])
+        for pool in (self.r_eta_star, self.r_eta_dia, self.r_eta_dd):
+            acc = pool[t]
             for r in range(t):
                 if R_row[r] != 0.0:
-                    acc -= pool[r] * R_row[r]
+                    acc -= np.multiply(pool[r], R_row[r], out=tmp)
             acc *= d1_t
-            pool.append(acc)
         self.r_eta_star[t] += d2_t
 
-        # kernels
-        for r in range(t + 1):
-            self.C_eta[t, r] = self.C_eta[r, t] = (
-                self.delta * fmean(ell_t * self.ell_vals[r]))
+        # kernels, one reduction per row
+        self.C_eta[t, : t + 1] = self.C_eta[: t + 1, t] = self.delta * fmean(
+            np.multiply(self.ell_vals[: t + 1], ell_t, out=self.prods[: t + 1]))
         if not self.independent_init:
             self.c_eta_dia[t] = (
                 -(self.delta / self.lam_star) * fmean(ell_t * self.Ts_y * self.etas[0]))
-        for s in range(t):
-            self.R_eta[t, s] = self.delta * fmean(self.r_eta_ts[t][s])
+        self.R_eta[t, :t] = self.delta * fmean(resp)
         self.R_eta_star[t] = self.delta * fmean(self.r_eta_star[t])
         self.R_eta_dia[t] = self.delta * fmean(self.r_eta_dia[t])
         self.R_eta_dd[t] = self.delta * fmean(self.r_eta_dd[t])
@@ -492,9 +510,8 @@ class DmftState:
         self.r_theta_dia[t + 1] = dia
 
         # correlation kernels
-        for r in range(t + 2):
-            self.C_theta[t + 1, r] = self.C_theta[r, t + 1] = (
-                fmean(theta_next * self.thetas[r]))
+        self.C_theta[t + 1, : t + 2] = self.C_theta[: t + 2, t + 1] = fmean(
+            np.multiply(self.thetas[: t + 2], theta_next, out=self.prods[: t + 2]))
         self.c_theta_star[t + 1] = fmean(theta_next * self.theta_star)
         self.t_theta = t + 1
 

@@ -3,6 +3,7 @@
 import configparser
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmftsim import cli, config
+from dmftsim import amp, cli, config, dmft, fixed_point
 from dmftsim.cli import Runner, main
 from dmftsim.config import ConfigError, load_config
 from dmftsim.dmft import DmftState, tti_diagnostics
@@ -720,3 +721,44 @@ assert {'spectral.build_Mn', 'gd.run_gd', 'amp.run_spectral_amp',
                           cwd=root, env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def fsum_fmean(x):
+    """The reference kernel average: math.fsum per row, divided by the
+    row's size."""
+    if x.ndim == 2:
+        return np.array([math.fsum(row) / row.size for row in x])
+    return math.fsum(x) / x.size
+
+
+@pytest.mark.parametrize("name", ["phase_retrieval.ini", "linear_pseudo_huber.ini"])
+def test_shipped_pipeline_artifacts_equal_the_fsum_reference(tmp_path, monkeypatch, name):
+    # every artifact of a reduced-size pipeline on a shipped config keeps its
+    # bytes when fmean is replaced, under every name it is called by, with
+    # math.fsum row by row
+    sizes = {"algo": {"m": "6"}, "spectral": {"gh_nodes": "32", "z_samples": "2000"},
+             "dmft": {"k": "3000"}, "fixedpoint": {"k": "3000"},
+             "compare": {"w2_tol": "1.0", "cov_tol": "1.0"}}
+    cp = configparser.ConfigParser()
+    cp.read(ROOT / "configs" / name)
+    delta = int(cp["model"]["n"]) // int(cp["model"]["d"])
+    cp["model"].update({"n": str(300 * delta), "d": "300"})
+    for section, values in sizes.items():
+        cp[section].update(values)
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        cp.write(fh)
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        codes.append(main(["pipeline", "--config", str(path), "--out", str(tmp_path / "a")]))
+        for module in (dmft, amp, fixed_point):
+            monkeypatch.setattr(module, "fmean", fsum_fmean)
+        codes.append(main(["pipeline", "--config", str(path), "--out", str(tmp_path / "b")]))
+    assert codes == [0, 0]
+    written = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "C_eta.csv" in written and "fixed_point.json" in written
+    for artifact in written:
+        assert ((tmp_path / "a" / artifact).read_bytes()
+                == (tmp_path / "b" / artifact).read_bytes()), artifact

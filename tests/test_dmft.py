@@ -160,6 +160,40 @@ def fmean_outcome(x):
         return type(exc)
 
 
+def tie_case(rng, n, tail_sign):
+    """n values whose exact sum is a rounding midpoint a + ulp(a)/2 moved
+    by a tail far below an ulp: fsum rounds it toward the tail, while a
+    float sum of the remainders loses the tail and breaks the tie to even.
+    The other values cancel in exact pairs."""
+    a = float(rng.standard_normal()) * 2.0 ** int(rng.integers(-30, 30))
+    half = math.ulp(a) / 2
+    tail = tail_sign * half * 2.0 ** -int(rng.integers(40, 400))
+    pairs = rng.standard_normal((n - 3) // 2) * abs(a) * 10.0 ** rng.uniform(-3, 3)
+    x = np.concatenate([[a, half, tail], pairs, -pairs, np.zeros((n - 3) % 2)])
+    rng.shuffle(x)
+    return x
+
+
+def tie_cases():
+    rng = np.random.default_rng(7)
+    return {f"tie_{n}_{'+-'[i % 2]}{i // 2}": tie_case(rng, n, (1, -1)[i % 2])
+            for n in (3, 4, 1000, 50_000) for i in range(4)}
+
+
+def size_boundary_cases():
+    """n = 2**k - 2, 2**k - 1 and 2**k, where 2**M >= n + 2 changes M,
+    with every value just below max|x| (one sign, then mixed signs)."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for k in (2, 3, 10, 16):
+        for n in (2**k - 2, 2**k - 1, 2**k):
+            top = np.nextafter(2.0 ** int(rng.integers(-20, 20)), 0.0)
+            frac = 1.0 - rng.integers(0, 2**20, n) * 2.0**-52
+            cases[f"boundary_{n}_same_sign"] = -top * frac
+            cases[f"boundary_{n}_mixed"] = top * frac * rng.choice([-1.0, 1.0], n)
+    return cases
+
+
 def reducer_cases():
     rng = np.random.default_rng(2024)
     big = rng.standard_normal(500) * 1e16
@@ -174,6 +208,9 @@ def reducer_cases():
         "gaussian": rng.standard_normal(1000),
         "cancellation": cancel,
         "cancellation_to_zero": np.concatenate([big, -big[::-1]]),
+        "cancellation_to_zero_shuffled": rng.permutation(np.concatenate([big, -big])),
+        "cancellation_to_zero_below_an_ulp": np.array(
+            [1.0, 2.0**-60, 3.0 * 2.0**-400, -1.0, -2.0**-60, -3.0 * 2.0**-400]),
         "exponent_spread": spread,
         "spread_with_cancellation": np.concatenate([spread, -spread[:1500]]),
         "all_large": rng.standard_normal(200) * 1e200,
@@ -187,6 +224,8 @@ def reducer_cases():
         "reversed_view": block[::-1, 0],
         "K_1e5": rng.standard_normal(100_000) * rng.standard_normal(100_000),
         "heavy_tail": rng.standard_cauchy(50_000) ** 3,
+        **tie_cases(),
+        **size_boundary_cases(),
     }
 
 
@@ -194,6 +233,51 @@ def reducer_cases():
 def test_fmean_is_fsum_bitwise(name):
     x = reducer_cases()[name]
     assert fmean_outcome(x) == fsum_mean_outcome(x)
+
+
+def test_fmean_of_a_block_is_the_1d_call_on_every_row():
+    rng = np.random.default_rng(5)
+    n = 1000
+    rows = [rng.standard_normal(n), tie_case(rng, n, 1), tie_case(rng, n, -1),
+            np.zeros(n), -np.zeros(n), rng.choice([0.0, -0.0], n),
+            np.full(n, 1e300), np.r_[np.nan, np.ones(n - 1)],
+            rng.integers(-9, 9, n) * 5e-324]
+    block = np.array(rows)
+    for b in (block, np.asfortranarray(block), block[::-1, ::-1]):
+        means = fmean(b)
+        assert means.shape == (len(rows),)
+        assert [v.hex() for v in means.tolist()] == [fmean(row).hex() for row in b]
+        assert [v.hex() for v in means.tolist()] == [fsum_mean_outcome(row) for row in b]
+    assert fmean(np.empty((0, n))).shape == (0,)
+
+
+def linear_independent_state(K=3000, seed=4):
+    """The shipped linear pseudo-Huber model (independent init)."""
+    link, noise, pre = linear_link(), gaussian_dist(0.3), phase_preprocess(2.0)
+    sol = solve_lambda_star(pre, link, noise, 2.0,
+                            QuadratureSpec(z_samples=10000, seed=1))
+    return init_dmft(pseudo_huber_loss(), link, noise, pre, sol, 2.0, 0.2, 0.5,
+                     MonteCarloSpec(K=K, seed=seed), independent_init=True)
+
+
+def test_dmft_reductions_never_fall_back_to_a_whole_array_fsum(monkeypatch):
+    # fmean's certificate calls math.fsum on short lists; its fallback calls
+    # it on the array itself, which no DMFT reduction may reach
+    fsum = math.fsum
+    calls = {"list": 0}
+
+    def list_only_fsum(values):
+        assert not isinstance(values, np.ndarray), "fmean fell back to math.fsum"
+        calls["list"] += 1
+        return fsum(values)
+    states = [pr_state(K=3000, seed=3), linear_independent_state()]
+    monkeypatch.setattr(math, "fsum", list_only_fsum)
+    for st in states:
+        run_dmft(st, 6)
+    assert calls["list"] > 0
+    assert not np.any(states[1].r_eta_dia[6])    # all-zero rows included
+    with pytest.raises(AssertionError, match="fell back"):
+        fmean(np.array([1.0, np.inf]))
 
 
 def test_fmean_is_fsum_bitwise_on_dmft_path_products():
@@ -210,6 +294,11 @@ def test_fmean_is_fsum_bitwise_on_dmft_path_products():
     for x in arrays:
         assert fmean_outcome(x) == fsum_mean_outcome(x)
     assert any(not x.flags.c_contiguous for x in arrays)
+    # the kernel rows as the steps reduce them, one block per row
+    for block in (st.ell_vals[: t + 1] * st.ell_vals[t], st.r_eta_ts[t],
+                  st.thetas[: st.t_theta + 1] * th):
+        assert [v.hex() for v in fmean(block).tolist()] == [
+            fsum_mean_outcome(x) for x in block]
 
 
 @pytest.mark.parametrize("values", [
