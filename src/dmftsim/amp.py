@@ -31,7 +31,7 @@ import numpy as np
 
 from .dmft import DmftState, fmean
 from .gd import Trajectory
-from .halves import matvec, rmatvec
+from .halves import matvec
 from .model import LossModel, ModelInstance, PreProcess
 from .spectral import LambdaStarSolution
 
@@ -171,7 +171,7 @@ def run_spectral_amp(
     for i in range(m):
         thetas, ell_hist = theta_rec[:i + 1], ells[:i + 1]
         # a^{i+1} from f_i and the xi corrections over g_0..g_i
-        a_iters[i] = (-rmatvec(X, ells[i]) / delta
+        a_iters[i] = (-matvec(X.T, ells[i]) / delta
                       + xi[i, :i + 1, 0] @ thetas
                       + xi[i, :i + 1, 1].sum() * theta_star)
 

@@ -1,8 +1,10 @@
 """Command line entry point: dmftsim <subcommand> --config cfg.ini --out dir.
 
 Subcommands: spectral | simulate | dmft | fixed-point | amp-check | compare
-| pipeline.  Every stage is deterministic given the config, and CSV/JSON
-artifacts are byte-identical across reruns.
+| pipeline.  ``pipeline`` runs the stages of ``outputs.stages``; a stage's
+subcommand runs the one-stage pipeline of that stage.  Every stage is
+deterministic given the config, and CSV/JSON artifacts are byte-identical
+across reruns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from . import amp as amp_mod
 from . import dmft as dmft_mod
 from . import fixed_point as fp_mod
 from . import metrics
-from .config import STAGE_NAMES, ConfigError, ExperimentConfig, check_seed, load_config
+from .config import (STAGE_NAMES, ConfigError, ExperimentConfig, check_seed,
+                     check_stages, load_config)
 from .gd import empirical_joint, loss_value, run_gd
 from .model import make_instance
 from .spectral import solve_lambda_star, spectral_estimator
@@ -45,20 +48,17 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_matrix_csv(path: Path, M: np.ndarray, corner: str = "t\\s") -> None:
+def _write_matrix_csv(path: Path, M, corner: str = "t\\s", columns=None,
+                      start: int = 0) -> None:
+    """A table of the rows of ``M``: a header of ``corner`` and the column
+    names (by default the column indices), then per row its index, counting
+    from ``start``, and its values."""
     M = np.atleast_2d(M)
+    if columns is None:
+        columns = range(M.shape[1])
     with open(path, "w") as fh:
-        fh.write(corner + "," + ",".join(str(s) for s in range(M.shape[1])) + "\n")
-        for t, row in enumerate(M):
-            fh.write(str(t) + "," + ",".join(FLOAT_FMT % v for v in row) + "\n")
-
-
-def _write_columns(path: Path, index: str, cols: dict, start: int = 0) -> None:
-    """A table with one row per position of the equal-length ``cols``: the
-    index (counting from ``start``), then each column's value."""
-    with open(path, "w") as fh:
-        fh.write(",".join([index, *cols]) + "\n")
-        for t, row in enumerate(zip(*cols.values()), start=start):
+        fh.write(",".join([corner, *map(str, columns)]) + "\n")
+        for t, row in enumerate(M, start=start):
             fh.write(f"{t}," + ",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
@@ -164,13 +164,11 @@ class Runner:
         inst = self.inst
         traj = self.traj
         sqd = np.sqrt(inst.d)
-        ts = range(traj.m + 1)
-        _write_columns(self.out / "trajectory.csv", "t", {
-            "dist": [np.linalg.norm(traj.theta[t] - inst.theta_star) / sqd
-                     for t in ts],
-            "overlap": [traj.theta[t] @ inst.theta_star / inst.d for t in ts],
-            "loss": [loss_value(self.cfg.loss, traj, t) for t in ts],
-        })
+        rows = [(np.linalg.norm(traj.theta[t] - inst.theta_star) / sqd,
+                 traj.theta[t] @ inst.theta_star / inst.d,
+                 loss_value(self.cfg.loss, traj, t)) for t in range(traj.m + 1)]
+        _write_matrix_csv(self.out / "trajectory.csv", rows, "t",
+                          ("dist", "overlap", "loss"))
         return {"ok": True}
 
     def stage_dmft(self) -> dict:
@@ -181,7 +179,7 @@ class Runner:
         _write_matrix_csv(out / "R_theta.csv", state.R_theta)
         _write_matrix_csv(out / "C_eta.csv", state.C_eta)
         _write_matrix_csv(out / "R_eta.csv", state.R_eta)
-        _write_columns(out / "kernels_channels.csv", "t", {
+        channels = {
             "C_theta_star": state.c_theta_star,
             "R_theta_diamond": state.r_theta_dia,
             "C_eta_diamond": state.c_eta_dia,
@@ -189,7 +187,9 @@ class Runner:
             "R_eta_diamond": state.R_eta_dia,
             "R_eta_diamond2": state.R_eta_dd,
             "Gamma": state.Gamma,
-        })
+        }
+        _write_matrix_csv(out / "kernels_channels.csv",
+                          np.column_stack(list(channels.values())), "t", channels)
         _write_samples(out / "dmft_theta_samples", state.thetas.T)
         _write_samples(out / "dmft_eta_samples", state.etas.T)
         diag = {
@@ -228,14 +228,13 @@ class Runner:
         # one row per outer step from the second on: its length follows the
         # step count, so it has its own file and fixed_point.json keeps a
         # fixed set of scalars
-        _write_columns(self.out / "fixed_point_trace.csv", "outer_step",
-                       {"max_param_change": fp.residual_trace}, start=2)
+        _write_matrix_csv(self.out / "fixed_point_trace.csv",
+                          np.column_stack([fp.residual_trace]), "outer_step",
+                          ["max_param_change"], start=2)
         return _status([fp.reason] if fp.reason else [])
 
     def stage_amp_check(self) -> dict:
         cfg = self.cfg
-        if cfg.init != "spectral":
-            raise ConfigError("field algo.init: amp-check requires spectral init")
         state = self.dmft
         gd = cfg.gd
         table = amp_mod.onsager_from_dmft(state, gd.m)
@@ -279,9 +278,10 @@ class Runner:
                             f"exceeds cov_tol = {cfg.cov_tol:g}")
         record["ok"] = not failures
         _write_json(self.out / "comparison.json", record)
-        _write_columns(self.out / "comparison.csv", "t", {
-            "w2_theta": rep.w2_theta, "w2_eta": rep.w2_eta,
-            "overlap_emp": rep.overlap_emp, "overlap_dmft": rep.overlap_dmft})
+        columns = {"w2_theta": rep.w2_theta, "w2_eta": rep.w2_eta,
+                   "overlap_emp": rep.overlap_emp, "overlap_dmft": rep.overlap_dmft}
+        _write_matrix_csv(self.out / "comparison.csv",
+                          np.column_stack(list(columns.values())), "t", columns)
         return _status(failures)
 
 
@@ -342,6 +342,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=check_seed("model.seed (--seed)", args.seed))
+        if args.subcommand != "pipeline":
+            # a subcommand runs as the one-stage pipeline of its stage
+            cfg = replace(cfg, pipeline_stages=check_stages(
+                "outputs.stages (subcommand)", (args.subcommand,), cfg.init))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -353,16 +357,7 @@ def main(argv=None) -> int:
         print(f"config error: field {field}: cannot create directory "
               f"{str(out_dir)!r}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-
-    if args.subcommand == "pipeline":
-        return run_pipeline(cfg, out_dir)
-    runner = Runner(cfg, out_dir)
-    try:
-        result = Runner.STAGES[args.subcommand](runner)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if result["ok"] else 1
+    return run_pipeline(cfg, out_dir)
 
 
 if __name__ == "__main__":

@@ -146,6 +146,24 @@ def check_seed(field: str, seed: int) -> int:
     return seed
 
 
+def check_stages(field: str, stages: tuple, init: str) -> tuple:
+    """``stages``, or a ConfigError naming ``field`` when the list is empty,
+    names an unknown stage or one twice, or names amp-check without
+    ``algo.init = spectral``: the AMP check starts from the spectral
+    estimate."""
+    if not stages:
+        raise ConfigError(f"field {field}: names no stage")
+    for i, s in enumerate(stages):
+        if s not in STAGE_NAMES:
+            raise ConfigError(f"field {field}: unknown stage {s!r}")
+        if s in stages[:i]:
+            raise ConfigError(f"field {field}: stage {s!r} is repeated")
+    if "amp-check" in stages and init != "spectral":
+        raise ConfigError(f"field {field}: amp-check requires field algo.init = "
+                          f"spectral, got {init!r}")
+    return stages
+
+
 def _build(cp, section: str, make, keys: dict):
     """``make`` called with the parameters read from their keys: ``keys``
     maps each key of ``section`` to the parameter it gives.  ``make``'s
@@ -206,20 +224,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if size < 2:
             raise ConfigError(f"field model.{key}: must be >= 2, got {size}")
 
-    stages = tuple(s.strip() for s in _get(cp, "outputs", "stages").split(",")
-                   if s.strip())
-    if not stages:
-        raise ConfigError("field outputs.stages: names no stage")
-    for i, s in enumerate(stages):
-        if s not in STAGE_NAMES:
-            raise ConfigError(f"field outputs.stages: unknown stage {s!r}")
-        if s in stages[:i]:
-            raise ConfigError(f"field outputs.stages: stage {s!r} is repeated")
     init = _choose(cp, "algo", "init")
-    if "amp-check" in stages and init != "spectral":
-        raise ConfigError(
-            "field outputs.stages: amp-check requires field algo.init = "
-            f"spectral, got {init!r}")
+    stages = check_stages("outputs.stages", tuple(
+        s.strip() for s in _get(cp, "outputs", "stages").split(",") if s.strip()), init)
     tols = {key: _get(cp, "compare", key) for key in ("w2_tol", "cov_tol")}
     for key, tol in tols.items():
         if tol < 0:

@@ -379,18 +379,23 @@ class DmftState:
         self.u_proc.innovations = None
         self.released = True
 
-    def _check_not_released(self) -> None:
+    def _check_steppable(self, t: int) -> None:
+        """Refuse a step that would write time t: after ``release_paths``,
+        before ``allocate`` or past the allocated horizon."""
         if self.released:
             raise RuntimeError("DMFT state was released by release_paths(); "
                                "its step arrays are gone and it cannot be stepped")
+        if self.m is None or t > self.m:
+            raise RuntimeError(f"DMFT state is sized for horizon {self.m}; "
+                               f"cannot step to t = {t}")
 
     # -- eta step ----------------------------------------------------------
 
     def step_eta(self) -> None:
         """Compute eta^t and all eta-side kernels at t = t_eta + 1; needs
         theta^t (``run_dmft`` keeps that order)."""
-        self._check_not_released()
         t = self.t_eta + 1
+        self._check_steppable(t)
         K = self.K
         ell, d1ell, d2ell = self.loss.ell, self.loss.d1ell, self.loss.d2ell
 
@@ -473,8 +478,8 @@ class DmftState:
     def step_theta(self) -> None:
         """Compute theta^{t+1} and theta-side kernels at t = t_theta; needs
         the eta side at t (``run_dmft`` keeps that order)."""
-        self._check_not_released()
         t = self.t_theta
+        self._check_steppable(t + 1)
         K = self.K
         gamma, lam = self.gamma, self.lambda_ridge
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .halves import matvec, rmatvec
+from .halves import matvec
 from .model import LossModel, ModelInstance
 
 Array = np.ndarray
@@ -65,7 +65,7 @@ def run_gd(inst: ModelInstance, loss: LossModel, cfg: GdConfig, theta0: Array) -
         eta = matvec(X, theta, out=etas[t])
         if t == cfg.m:
             break
-        grad = rmatvec(X, np.asarray(loss.ell(eta, eta_star, inst.z), dtype=float))
+        grad = matvec(X.T, np.asarray(loss.ell(eta, eta_star, inst.z), dtype=float))
         theta = theta - cfg.gamma * grad - cfg.gamma * cfg.lambda_ridge * theta
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"non-finite iterate at t={t + 1}")

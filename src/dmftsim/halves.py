@@ -8,9 +8,9 @@ SYRK_ROWS), so with one BLAS thread the results are bitwise those of the
 serial code on any number of cores.  A split runs only when its library
 reports one BLAS thread (``blas_threads``); otherwise each half's call
 would start BLAS threads of its own on the same cores, so the whole extent
-runs on the caller.  The worker runs only BLAS calls (``matvec``,
-``rmatvec``, ``syrk_lower``), never a function that calls ``on_halves``
-itself: the one worker would wait on itself.
+runs on the caller.  The worker runs only BLAS calls (``matvec`` and
+``syrk_lower``), never a function that calls ``on_halves`` itself: the one
+worker would wait on itself.
 
 Only BLAS is split.  With numpy 2.4.6 and one BLAS thread on two x86-64
 cores, two threads running BLAS products ran at once, while two threads
@@ -115,19 +115,12 @@ def _on_blas_halves(package: str, fn, n: int) -> None:
 
 
 def matvec(X: Array, v: Array, out: Array | None = None) -> Array:
-    """X @ v, split by rows of X."""
+    """X @ v, split by rows of X; ``matvec(X.T, w)`` is X.T @ w split by
+    columns of X."""
     if out is None:
         out = np.empty(X.shape[0])
     _on_blas_halves("numpy", lambda lo, hi: np.matmul(X[lo:hi], v, out=out[lo:hi]),
                     X.shape[0])
-    return out
-
-
-def rmatvec(X: Array, w: Array) -> Array:
-    """X.T @ w, split by columns of X."""
-    out = np.empty(X.shape[1])
-    _on_blas_halves("numpy", lambda lo, hi: np.matmul(X[:, lo:hi].T, w, out=out[lo:hi]),
-                    X.shape[1])
     return out
 
 

@@ -52,14 +52,14 @@ def test_both_blas_libraries_report_one_thread():
 
 
 @pytest.mark.parametrize("n,d", ODD_SHAPES + [(1031, 2050), (4000, 2000)])
-def test_matvec_and_rmatvec_are_bitwise_the_serial_products(n, d):
+def test_matvec_of_x_and_its_transpose_is_bitwise_the_serial_product(n, d):
     rng = np.random.default_rng(n + d)
     X = rng.standard_normal((n, d)) / np.sqrt(d)
     F = np.asfortranarray(X[:min(n, d), :min(n, d)])
     for _ in range(3):
         v, w = rng.standard_normal(d), rng.standard_normal(n)
         assert same_bits(halves.matvec(X, v), X @ v)
-        assert same_bits(halves.rmatvec(X, w), X.T @ w)
+        assert same_bits(halves.matvec(X.T, w), X.T @ w)
         u = rng.standard_normal(F.shape[0])
         assert same_bits(halves.matvec(F, u), F @ u)
 

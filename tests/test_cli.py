@@ -300,11 +300,13 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 
 def test_amp_check_subcommand_with_independent_init_exits_2(tmp_path, capsys):
-    # the stage list does not name amp-check, so only the stage itself refuses
+    # outputs.stages does not name amp-check; the subcommand's one-stage
+    # list is refused by the same check
     path = tmp_path / "lin.ini"
     path.write_text(LINEAR_CFG.format(out=tmp_path / "out"))
     assert main(["amp-check", "--config", str(path)]) == 2
-    assert "field algo.init: amp-check requires spectral init" in capsys.readouterr().err
+    assert ("field outputs.stages (subcommand): amp-check requires field "
+            "algo.init = spectral, got 'independent'") in capsys.readouterr().err
     assert not (tmp_path / "out" / "amp_check.json").exists()
 
 
@@ -542,6 +544,49 @@ def test_pipeline_builds_the_loss_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("stage,written", [
+    ("spectral", ["spectral.json"]),
+    ("simulate", ["trajectory.csv"]),
+])
+def test_subcommand_writes_the_status_of_its_one_stage(tmp_path, stage, written):
+    path = write_cfg(tmp_path, stages="dmft")
+    assert main([stage, "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*written, "pipeline_status.json"])
+    status = json.loads((out / "pipeline_status.json").read_text())
+    assert status == {stage: {"ok": True}}
+
+
+def test_raising_subcommand_stage_is_recorded_in_pipeline_status(tmp_path, monkeypatch):
+    def boom(runner):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(Runner.STAGES, "compare", boom)
+    path = write_cfg(tmp_path, stages="spectral,dmft")
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["compare", "--config", str(path)])
+    status = json.loads((tmp_path / "out" / "pipeline_status.json").read_text())
+    assert status == {"compare": {"ok": False, "error": "RuntimeError: boom"}}
+
+
+def test_full_pipeline_writes_every_table_through_one_writer(tmp_path, monkeypatch):
+    # the benchmark times the CSV tables by this one name
+    tables = []
+    writer = cli._write_matrix_csv
+
+    def counting(path, *args, **kwargs):
+        tables.append(path.name)
+        return writer(path, *args, **kwargs)
+    monkeypatch.setattr(cli, "_write_matrix_csv", counting)
+    path = write_cfg(tmp_path, stages=",".join(config.STAGE_NAMES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        main(["pipeline", "--config", str(path)])
+    assert sorted(tables) == sorted(
+        p.name for p in (tmp_path / "out").iterdir() if p.suffix == ".csv")
+    assert len(tables) == 8
+
+
 def test_raising_stage_is_recorded_in_pipeline_status(tmp_path, monkeypatch):
     def boom(runner):
         raise RuntimeError("boom")
@@ -645,15 +690,20 @@ def test_pipeline_artifacts_equal_unreleased_stage_by_stage_runs(tmp_path, monke
         warnings.simplefilter("ignore", RuntimeWarning)
         main(["pipeline", "--config", str(path)])
         monkeypatch.setattr(DmftState, "release_paths", lambda self: None)
-        single = {}
+        single, single_status = {}, {}
         for name in stages:
             out = tmp_path / f"single_{name}"
             main([name, "--config", str(path), "--out", str(out)])
-            single.update({p.name: p for p in out.iterdir()})
+            single.update({p.name: p for p in out.iterdir()
+                           if p.name != "pipeline_status.json"})
+            single_status.update(json.loads((out / "pipeline_status.json").read_text()))
     pipeline = {p.name: p for p in (tmp_path / "out").iterdir()}
     assert sorted(single) == sorted(set(pipeline) - {"pipeline_status.json"})
     for name, p in single.items():
         assert p.read_bytes() == pipeline[name].read_bytes(), name
+    # each single run's status names its own stage only, as the pipeline did
+    assert single_status == json.loads(
+        (tmp_path / "out" / "pipeline_status.json").read_text())
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():

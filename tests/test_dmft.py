@@ -409,6 +409,22 @@ def test_release_paths_drops_path_arrays_and_keeps_kernels():
             step()
 
 
+def test_stepping_past_the_horizon_is_refused_before_any_write():
+    st = pr_state(K=1000, seed=2)
+    run_dmft(st, 4)
+    before = {name: np.copy(v) for name, v in vars(st).items()
+              if isinstance(v, np.ndarray)}
+    rng_state = st.rng.bit_generator.state
+    for step, t in ((st.step_theta, 5), (st.step_eta, 5)):
+        with pytest.raises(RuntimeError,
+                           match=f"sized for horizon 4; cannot step to t = {t}"):
+            step()
+    assert (st.t_eta, st.t_theta, st.u_proc.n, st.w_proc.n) == (4, 4, 5, 6)
+    assert st.rng.bit_generator.state == rng_state
+    for name, v in before.items():
+        assert getattr(st, name).tobytes() == v.tobytes(), name
+
+
 def test_kernel_symmetry_exact():
     st = pr_state(K=2000, seed=6)
     run_dmft(st, 5)

@@ -84,7 +84,7 @@ def test_blas_sites_split_only_under_one_blas_thread(monkeypatch, threads):
     A = np.asfortranarray(rng.standard_normal((halves.MIN_SPLIT + 1, halves.SYRK_ROWS)))
     C = np.zeros((A.shape[0], A.shape[0]), order="F")
     halves.syrk_lower(A, C)
-    got = halves.matvec(X, v), halves.rmatvec(X, w)
+    got = halves.matvec(X, v), halves.matvec(X.T, w)
     assert len(used) == (3 if threads == 1 else 0)
     # the serial form is the unsplit call itself; the split form keeps its
     # bits only when the BLAS really runs one thread (split_blas_cases.py)
@@ -200,3 +200,10 @@ def test_blas_product_reaches_the_worker(no_worker, monkeypatch):
     X = np.ones((2 * halves.MIN_SPLIT, 8))
     with pytest.raises(RuntimeError, match="worker was asked for"):
         halves.matvec(X, np.ones(8))
+
+
+@pytest.mark.parametrize("package", ["numpy", "scipy"])
+def test_blas_threads_finds_the_bundled_openblas(package):
+    # a wheel that renames its bundled library would leave every BLAS site
+    # running serially, without an error
+    assert halves.blas_threads(package) >= 1
