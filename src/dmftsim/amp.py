@@ -216,11 +216,12 @@ def verify_equivalence(amp: AmpRun, gd: Trajectory) -> tuple[float, float]:
 def se_check(amp: AmpRun, state: DmftState, theta0: Array,
              theta_star: Array) -> dict:
     """State-evolution spot checks: empirical means of test functions of the
-    AMP iterates against the matching means over the DMFT state's pools.
+    AMP iterates against the matching means of the DMFT law.
 
     The correspondence maps the first column of a^i to the DMFT effective
-    noise u^{i-1}/delta, theta^0 to a theta* + u_diamond, and theta* to
-    theta*.
+    noise u^{i-1}/delta, whose mean and second moment the state keeps as
+    ``u_mean[i-1]`` and ``u_sq_mean[i-1]``, theta^0 to a theta* + u_diamond,
+    and theta* to theta*; these two are read from the theta pool.
     """
     m = min(len(amp.a_iters), state.m)
     report: dict = {}
@@ -242,13 +243,11 @@ def se_check(amp: AmpRun, state: DmftState, theta0: Array,
     if amp.theta_rec.shape[0] > 1 and state.m >= 1:
         entry("overlap_theta1_star", np.mean(amp.theta_rec[1] * theta_star),
               fmean(state.thetas[1] * state.theta_star), 0.03)
-    for i in range(1, m + 1):
-        a_col = amp.a_iters[i - 1]
-        u_scaled = state.u_proc.values[i] / state.delta
-        ref = fmean(u_scaled**2)
+    for i, (a_col, mean, ref) in enumerate(
+            zip(amp.a_iters[:m], state.u_mean, state.u_sq_mean), start=1):
         entry(f"second_moment_a{i}", np.mean(a_col**2), ref,
               6.0 * base_tol * max(1.0, ref))
-        entry(f"mean_a{i}", np.mean(a_col), fmean(u_scaled),
+        entry(f"mean_a{i}", np.mean(a_col), mean,
               3.0 * base_tol * max(1.0, np.sqrt(ref)))
     report["all_ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
     return report

@@ -110,8 +110,8 @@ class Runner:
 
     @cached_property
     def dmft(self) -> dmft_mod.DmftState:
-        """The DMFT state run to horizon m, released down to its sample
-        pools, kernels and responses."""
+        """The DMFT state run to horizon m, released down to its law,
+        kernels and responses."""
         cfg = self.cfg
         state = dmft_mod.init_dmft(
             cfg.loss, cfg.link, cfg.noise, cfg.pre,
@@ -213,6 +213,9 @@ class Runner:
         fp = self.fixed_point
         res = fp_mod.fixed_point_residuals(fp, cfg.loss, cfg.delta,
                                            cfg.gd.lambda_ridge)
+        # the residuals are the one reader of the fixed point's K-sample pools
+        self.fixed_point = replace(fp, eta_inf=None, w_inf=None, w_star=None, z=None,
+                                   theta_inf=None, theta_star=None, u_inf=None)
         record = {
             "R_theta_inf": fp.R_theta_inf,
             "R_eta_inf": fp.R_eta_inf,

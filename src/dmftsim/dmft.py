@@ -6,7 +6,8 @@ carries (z, w*, w^0..w^t) and per-path response recursions; the theta side
 carries (theta*, u_diamond, u^0..u^t).  Gaussian coordinates are generated
 through an incrementally grown Cholesky factor applied to per-path standard
 normal innovations, so earlier coordinates never change as the horizon grows.
-The state's ``(t, K)`` pools are the law; its readers take the state.
+The law is the state's ``(t, K)`` theta and eta pools, u_diamond and the
+per-t moments of u^t; its readers take the state.
 Near the fixed point the covariance of these coordinates becomes numerically
 rank-deficient; a coordinate that is linearly dependent on the earlier ones to
 working precision gets a zero Cholesky pivot, and a covariance block that is
@@ -35,9 +36,11 @@ JITTER_LADDER = (1e-8, 1e-6)
 PSD_FLOOR = 1e-8
 
 
-def fmean(x: Array) -> float | Array:
+def fmean(x: Array, y: Optional[Array] = None) -> float | Array:
     """Mean of a 1-d array as its exactly rounded sum divided by its size;
-    a 2-d ``(rows, K)`` block gives the array of its rows' means.
+    a 2-d ``(rows, K)`` block gives the array of its rows' means.  A
+    ``(K,)`` y gives the bits of ``fmean(x * y)``, each row's product with y
+    formed in one K-length buffer instead of a ``(rows, K)`` block.
 
     Returns the bits of ``math.fsum(x) / x.size`` (per row), so the result
     does not depend on summation order or thread count.  The sum is found by
@@ -53,10 +56,11 @@ def fmean(x: Array) -> float | Array:
     Non-float64, empty or non-finite input, values of 2**900 or more and
     sigma below 2**-900 go to ``math.fsum`` itself.
     """
-    if x.ndim == 2:
-        buf = np.empty(x.shape[1])
-        return np.array([_exact_sum(row, buf) for row in x]) / x.shape[1]
-    return _exact_sum(x, np.empty(x.size)) / x.size
+    rows = x if x.ndim == 2 else x[None]
+    buf, prod = np.empty(rows.shape[1]), np.empty(rows.shape[1])
+    sums = [_exact_sum(row if y is None else np.multiply(row, y, out=prod), buf)
+            for row in rows]
+    return np.array(sums) / rows.shape[1] if x.ndim == 2 else sums[0] / x.size
 
 
 def _exact_sum(x: Array, buf: Array) -> float:
@@ -111,8 +115,9 @@ class IncrementalGaussian:
     Coordinate j equals sum_k L[j, k] xi_k for a lower-triangular L filled
     row by row from the target covariance S; the xi_k are per-path standard
     normal innovations supplied at creation of coordinate k.  L, S and the
-    ``(dim, K)`` innovations and values are allocated once for ``dim``
-    coordinates; ``n`` of them are filled.
+    ``(dim, K)`` innovations are allocated once for ``dim`` coordinates;
+    ``n`` of them are filled.  ``add`` writes each realized coordinate into
+    a row its caller owns.
 
     A slightly negative Schur complement is absorbed by a diagonal jitter
     (``BASE_JITTER``, then ``JITTER_LADDER``).  Beyond the ladder, the
@@ -136,13 +141,13 @@ class IncrementalGaussian:
         self.L = np.zeros((dim, dim))            # lower-triangular factor
         self.S = np.zeros((dim, dim))            # target covariance
         self.innovations = np.empty((dim, K))    # standard normals
-        self.values = np.empty((dim, K))         # realized coordinates
         self.min_eig_before_jitter: list[float] = []
         self.zero_pivots: list[int] = []         # coordinates with L[j, j] = 0
 
-    def add(self, cov_with_prev: Array, variance: float, innovation: Array) -> Array:
+    def add(self, cov_with_prev: Array, variance: float, innovation: Array,
+            out: Optional[Array] = None) -> Array:
         """Append a coordinate with given covariances against the existing
-        ones and marginal variance; returns its (K,) realization."""
+        ones and marginal variance; returns its (K,) realization in out."""
         idx = self.n
         c = np.asarray(cov_with_prev, dtype=float)
         if c.shape != (idx,):
@@ -201,7 +206,7 @@ class IncrementalGaussian:
                 jitter = -dsq   # dsq + jitter == 0.0 exactly: a zero pivot
         diag = np.sqrt(dsq + jitter)
         self.innovations[idx] = innovation
-        value = np.multiply(self.innovations[idx], diag, out=self.values[idx])
+        value = np.multiply(self.innovations[idx], diag, out=out)
         for k in range(idx):
             if l_part[k] != 0.0:
                 value += l_part[k] * self.innovations[k]
@@ -228,8 +233,10 @@ class DmftState:
     ``r_theta_dia``, ``c_eta_dia``, ``R_eta_star``, ``R_eta_dia``,
     ``R_eta_dd`` and ``e_d1`` are ``(m+1,)`` arrays indexed by t;
     ``Gamma = delta * e_d1``.  The steps write one row or entry at a time;
-    the theta and eta pools and ``u_proc.values`` (u_diamond, u^0..) are
-    the law.  The per-path eta responses are the ``(t, K)`` views
+    the theta and eta pools, ``u_dia`` and the ``(m,)`` moments ``u_mean``
+    and ``u_sq_mean`` of u^t / delta are the law.  w* is row ``etas[-2]``,
+    w^0 is ``w0``, and w^t and u^t for t >= 1 pass through one ``scratch``
+    row.  The per-path eta responses are the ``(t, K)`` views
     ``r_eta_ts[t]`` of one pool and the ``(K,)`` rows ``r_eta_star[t]``,
     ``r_eta_dia[t]`` and ``r_eta_dd[t]``, zero until step t writes them.
     """
@@ -282,23 +289,9 @@ class DmftState:
         self.C_star_star = 1.0
         self.C_eta_dia_dia = 1.0 - self.a**2
         self.e_d1_T_t0: Optional[float] = None  # E[d1ell(eta^0,..)(1 + T(y))]
-
-        # per-path eta responses, sized by allocate and filled by step_eta
-        self.r_eta_ts: dict[int, Array] = {}   # t -> (t, K)
-        self.r_eta_star: list[Array] = []      # t -> (K,)
-        self.r_eta_dia: list[Array] = []
-        self.r_eta_dd: list[Array] = []
-
         self.t_eta = -1     # last t with eta^t computed
         self.t_theta = 0    # last t with theta^t computed
         self.released = False
-
-        # per-path constants created in step_eta(0)
-        self.w_star: Optional[Array] = None
-        self.y: Optional[Array] = None
-        self.Ty: Optional[Array] = None
-        self.Ts_y: Optional[Array] = None
-        self.dd_source: Optional[Array] = None  # T'(y) phi'(w*, z) w^0
 
     def allocate(self, m: int) -> None:
         """Size every pool and kernel for horizon m and write the t = 0 rows:
@@ -311,7 +304,6 @@ class DmftState:
         self.etas = np.empty((m + 3, K))        # eta^0..eta^m, w*, z
         self.ell_vals = np.empty((m + 1, K))
         self.d1_vals = np.empty((m + 1, K))
-        self.prods = np.empty((m + 2, K))       # a kernel row's path products
         # per-path eta responses in zero-filled pools: r_eta_ts[t] is the
         # (t, K) block of one triangular pool, and each channel's t-th entry
         # is row t of its own (m+1, K) pool
@@ -322,6 +314,8 @@ class DmftState:
             list(pool) for pool in np.zeros((3, m + 1, K)))
         self.u_proc = IncrementalGaussian(m + 1, K, "u-process")  # u_dia, u^0..u^{m-1}
         self.w_proc = IncrementalGaussian(m + 2, K, "w-process")  # w*, w^0..w^m
+        self.u_dia, self.w0, self.scratch = (np.empty(K) for _ in range(3))
+        self.u_mean, self.u_sq_mean = np.zeros((2, m))
         self.C_theta = np.zeros((m + 1, m + 1))
         self.C_eta = np.zeros((m + 1, m + 1))
         self.R_theta = np.zeros((m + 1, m + 1))   # R_theta(t, s), s < t
@@ -353,10 +347,10 @@ class DmftState:
         unit = orth / np.sqrt(fmean(orth**2))
 
         if self.independent_init:
-            self.u_dia = self.u_proc.add(np.zeros(0), 1.0, unit)  # inert coordinate
+            self.u_proc.add(np.zeros(0), 1.0, unit, out=self.u_dia)  # inert coordinate
             self.thetas[0] = unit
         else:
-            self.u_dia = self.u_proc.add(np.zeros(0), 1.0 - self.a**2, unit)
+            self.u_proc.add(np.zeros(0), 1.0 - self.a**2, unit, out=self.u_dia)
             np.add(self.a * self.theta_star, self.u_dia, out=self.thetas[0])
             self.c_theta_star[0] = self.a
             self.r_theta_dia[0] = 1.0
@@ -368,15 +362,14 @@ class DmftState:
         return self.delta * self.e_d1
 
     def release_paths(self) -> None:
-        """Drop every K-path array that only the steps read.  The sample
-        pools ``thetas``, ``etas`` and ``u_proc.values`` (and their views
-        ``z``, ``theta_star``, ``u_dia``), kernels, responses and PSD
-        diagnostics stay; the state can no longer be stepped."""
-        self.ell_vals = self.d1_vals = self.prods = self.w_star = None
-        self.y = self.Ty = self.Ts_y = self.dd_source = None
+        """Drop every K-path array that only the steps read.  The law (the
+        pools ``thetas`` and ``etas``, their views ``z`` and ``theta_star``,
+        ``u_dia`` and the u moments), kernels, responses and PSD diagnostics
+        stay; the state can no longer be stepped."""
+        self.ell_vals = self.d1_vals = self.w_star = self.w0 = self.scratch = None
+        self.Ty = self.Ts_y = self.dd_source = None
         self.r_eta_ts, self.r_eta_star, self.r_eta_dia, self.r_eta_dd = {}, [], [], []
-        self.w_proc.innovations = self.w_proc.values = None
-        self.u_proc.innovations = None
+        self.w_proc.innovations = self.u_proc.innovations = None
         self.released = True
 
     def _check_steppable(self, t: int) -> None:
@@ -401,21 +394,21 @@ class DmftState:
 
         if t == 0:
             self.w_star = self.w_proc.add(np.zeros(0), self.C_star_star,
-                                          self.rng.standard_normal(K))
-            self.etas[-2] = self.w_star
-            self.y = np.asarray(self.link.eval(self.w_star, self.z), dtype=float)
-            self.Ts_y = np.asarray(self.pre.Ts(self.y), dtype=float)
-            self.Ty = self.Ts_y / (self.lam_star - self.Ts_y)     # T(y)
+                                          self.rng.standard_normal(K), out=self.etas[-2])
         # covariance of w^t against (w*, w^0..w^{t-1}), then variance C_theta(t,t)
         cov = np.empty(t + 1)
         cov[0] = self.c_theta_star[t]
         cov[1:] = self.C_theta[t, :t]
-        w_t = self.w_proc.add(cov, self.C_theta[t, t], self.rng.standard_normal(K))
+        w_t = self.w_proc.add(cov, self.C_theta[t, t], self.rng.standard_normal(K),
+                              out=self.scratch if t else self.w0)
 
         if t == 0:
+            y = np.asarray(self.link.eval(self.w_star, self.z), dtype=float)
+            self.Ts_y = np.asarray(self.pre.Ts(y), dtype=float)
+            self.Ty = self.Ts_y / (self.lam_star - self.Ts_y)     # T(y)
             # T'(y) = lambda* Ts'(y) / (lambda* - Ts(y))^2
             self.dd_source = (
-                self.lam_star * np.asarray(self.pre.Ts1(self.y), dtype=float)
+                self.lam_star * np.asarray(self.pre.Ts1(y), dtype=float)
                 / (self.lam_star - self.Ts_y) ** 2
                 * np.asarray(self.link.du(self.w_star, self.z), dtype=float)
                 * w_t
@@ -423,7 +416,7 @@ class DmftState:
 
         R_row = self.R_theta[t]
         eta_t = self.etas[t]
-        np.add(w_t, self.Ty * self.w_proc.values[1] * self.r_theta_dia[t], out=eta_t)
+        np.add(w_t, self.Ty * self.w0 * self.r_theta_dia[t], out=eta_t)
         for s in range(t):
             if R_row[s] != 0.0:
                 eta_t -= self.ell_vals[s] * R_row[s]
@@ -460,7 +453,7 @@ class DmftState:
 
         # kernels, one reduction per row
         self.C_eta[t, : t + 1] = self.C_eta[: t + 1, t] = self.delta * fmean(
-            np.multiply(self.ell_vals[: t + 1], ell_t, out=self.prods[: t + 1]))
+            self.ell_vals[: t + 1], ell_t)
         if not self.independent_init:
             self.c_eta_dia[t] = (
                 -(self.delta / self.lam_star) * fmean(ell_t * self.Ts_y * self.etas[0]))
@@ -487,7 +480,8 @@ class DmftState:
         cov = np.empty(t + 1)
         cov[0] = self.c_eta_dia[t]
         cov[1:] = self.C_eta[t, :t]
-        u_t = self.u_proc.add(cov, self.C_eta[t, t], self.rng.standard_normal(K))
+        u_t = self.u_proc.add(cov, self.C_eta[t, t], self.rng.standard_normal(K),
+                              out=self.scratch)
 
         R_row = self.R_eta[t]
         gamma_t = self.delta * self.e_d1[t]
@@ -499,6 +493,10 @@ class DmftState:
         drift -= (self.R_eta_star[t] + self.R_eta_dd[t]) * self.theta_star
         theta_next = self.thetas[t + 1]
         np.add(self.thetas[t], gamma * drift, out=theta_next)
+        # the moments se_check reads: fmean's sums, but not kernel reductions
+        u_scaled, buf = np.divide(u_t, self.delta, out=u_t), np.empty(K)
+        self.u_mean[t] = _exact_sum(u_scaled, buf) / K
+        self.u_sq_mean[t] = _exact_sum(np.square(u_scaled, out=u_scaled), buf) / K
 
         # deterministic responses
         R = self.R_theta
@@ -516,7 +514,7 @@ class DmftState:
 
         # correlation kernels
         self.C_theta[t + 1, : t + 2] = self.C_theta[: t + 2, t + 1] = fmean(
-            np.multiply(self.thetas[: t + 2], theta_next, out=self.prods[: t + 2]))
+            self.thetas[: t + 2], theta_next)
         self.c_theta_star[t + 1] = fmean(theta_next * self.theta_star)
         self.t_theta = t + 1
 

@@ -218,6 +218,24 @@ def test_fixed_point_stage(tmp_path):
     assert changes[-1] < 1e-8 <= changes[0]
 
 
+def test_fixed_point_stage_drops_the_pools_only_its_residuals_read(tmp_path):
+    path = tmp_path / "lin.ini"
+    path.write_text(LINEAR_CFG.format(out=tmp_path / "out"))
+    cfg = load_config(path)
+    runner = Runner(cfg, tmp_path / "out")
+    runner.out.mkdir()
+    before = runner.fixed_point
+    pools = [name for name, v in vars(before).items()
+             if isinstance(v, np.ndarray) and v.shape == (cfg.solver.K,)]
+    assert len(pools) == 7
+    assert runner.stage_fixed_point() == {"ok": True}
+    after = runner.fixed_point
+    assert all(getattr(after, name) is None for name in pools)
+    for name, v in vars(before).items():
+        if name not in pools:
+            assert np.array_equal(getattr(after, name), v), name
+
+
 def test_independent_init_draws_theta0_from_the_model_seed(tmp_path):
     # a direction of norm sqrt(d), independent of the design: drawn from
     # model.seed alone, with no spectral estimate computed
@@ -773,9 +791,11 @@ assert {'spectral.build_Mn', 'gd.run_gd', 'amp.run_spectral_amp',
     assert proc.returncode == 0, proc.stderr
 
 
-def fsum_fmean(x):
-    """The reference kernel average: math.fsum per row, divided by the
-    row's size."""
+def fsum_fmean(x, y=None):
+    """The reference kernel average: math.fsum per row of x (times y),
+    divided by the row's size."""
+    if y is not None:
+        x = x * y
     if x.ndim == 2:
         return np.array([math.fsum(row) / row.size for row in x])
     return math.fsum(x) / x.size

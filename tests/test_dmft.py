@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from dmftsim import dmft
-from dmftsim.amp import onsager_from_dmft
+from dmftsim.amp import AmpRun, onsager_from_dmft, se_check
 from dmftsim.cli import _write_samples
 from dmftsim.dmft import (
     DmftState,
@@ -51,6 +51,16 @@ def pr_state(K=4000, seed=1, gamma=0.01, lam=0.0, delta=10.0):
                      MonteCarloSpec(K=K, seed=seed))
 
 
+def rebuilt(proc, j):
+    """Coordinate j of an IncrementalGaussian rebuilt from its L row and the
+    innovations, with the arithmetic of ``add``."""
+    value = proc.innovations[j] * proc.L[j, j]
+    for k in range(j):
+        if proc.L[j, k] != 0.0:
+            value += proc.L[j, k] * proc.innovations[k]
+    return value
+
+
 def zero_loss():
     zero = lambda a, b, c: np.zeros_like(np.asarray(a, dtype=float))
     return LossModel(name="zero", L=zero, ell=zero, d1ell=zero, d2ell=zero,
@@ -64,8 +74,7 @@ def zero_loss():
 def test_eta0_equals_one_plus_T_times_w0():
     st = pr_state()
     run_dmft(st, 0)
-    w0 = st.w_proc.values[1]
-    assert np.allclose(st.etas[0], (1.0 + st.Ty) * w0, atol=1e-13)
+    assert np.allclose(st.etas[0], (1.0 + st.Ty) * st.w0, atol=1e-13)
 
 
 def test_r_eta_star_at_t0_is_d2ell():
@@ -111,9 +120,9 @@ def test_zero_loss_degenerates_to_pure_noise_dynamics():
     st = init_dmft(zero_loss(), abs_link(), point_mass_dist(0.0), PRE3,
                    pr_solution(), 10.0, gamma, lam, MonteCarloSpec(K=2000, seed=2))
     run_dmft(st, 4)
-    w0 = st.w_proc.values[1]
+    assert rebuilt(st.w_proc, 1).tobytes() == st.w0.tobytes()
     for t in range(5):
-        expect = st.Ty * w0 * st.r_theta_dia[t] + st.w_proc.values[1 + t]
+        expect = st.Ty * st.w0 * st.r_theta_dia[t] + rebuilt(st.w_proc, 1 + t)
         assert np.allclose(st.etas[t], expect, atol=1e-14)
         assert abs(st.r_theta_dia[t] - (1 - gamma * lam) ** t) < 1e-14
         assert not np.any(st.r_eta_ts[t])
@@ -340,8 +349,12 @@ def test_horizon_prefix_immutability():
     for s in range(4):
         assert np.array_equal(short.etas[s], long.etas[s])
         assert np.array_equal(short.thetas[s], long.thetas[s])
-        assert np.array_equal(short.w_proc.values[s], long.w_proc.values[s])
-        assert np.array_equal(short.u_proc.values[s], long.u_proc.values[s])
+        for a, b in ((short.w_proc, long.w_proc), (short.u_proc, long.u_proc)):
+            assert np.array_equal(a.innovations[s], b.innovations[s])
+            assert np.array_equal(a.L[s, : s + 1], b.L[s, : s + 1])
+    assert np.array_equal(short.u_dia, long.u_dia)
+    for name in ("u_mean", "u_sq_mean"):
+        assert np.array_equal(getattr(short, name), getattr(long, name)[:3])
     n_th = short.C_theta.shape[0]
     assert np.array_equal(short.C_theta, long.C_theta[:n_th, :n_th])
     assert np.array_equal(short.C_eta, long.C_eta[:4, :4])
@@ -365,7 +378,7 @@ def _kernel_bytes(st):
     out = {name: arr(getattr(st, name)) for name in (
         "C_theta", "R_theta", "c_theta_star", "r_theta_dia", "C_eta", "R_eta",
         "c_eta_dia", "R_eta_star", "R_eta_dia", "R_eta_dd", "Gamma", "e_d1",
-        "e_d1_T_t0")}
+        "e_d1_T_t0", "u_mean", "u_sq_mean")}
     for proc in (st.w_proc, st.u_proc):
         out[proc.label] = (arr(proc.min_eig_before_jitter), list(proc.zero_pivots),
                            arr(proc.L), arr(proc.S))
@@ -383,18 +396,17 @@ def test_release_paths_drops_path_arrays_and_keeps_kernels():
         run_dmft(rel, m)
     assert rel.w_proc.zero_pivots or rel.u_proc.zero_pivots
     assert {"ell_vals", "r_eta_ts", "dd_source"} <= set(_path_arrays(rel, K))
-    assert _path_arrays(rel.w_proc, K) == ["innovations", "values"]
+    assert _path_arrays(rel.w_proc, K) == ["innovations"]
     rel.release_paths()
-    # only the sample pools and their row views stay
+    # only the sample pools, their row views and u_diamond stay
     assert _path_arrays(rel, K) == ["etas", "theta_star", "thetas", "u_dia", "z"]
-    assert _path_arrays(rel.w_proc, K) == [] and _path_arrays(rel.u_proc, K) == ["values"]
-    for view, pool in ((rel.z, rel.etas), (rel.theta_star, rel.thetas),
-                       (rel.u_dia, rel.u_proc.values)):
+    assert _path_arrays(rel.w_proc, K) == [] and _path_arrays(rel.u_proc, K) == []
+    for view, pool in ((rel.z, rel.etas), (rel.theta_star, rel.thetas)):
         assert np.shares_memory(view, pool)
 
     assert _kernel_bytes(rel) == _kernel_bytes(full)
     for a, b in ((rel.thetas, full.thetas), (rel.etas, full.etas),
-                 (rel.u_proc.values, full.u_proc.values)):
+                 (rel.u_dia, full.u_dia)):
         assert a.tobytes() == b.tobytes()
     # the readers after the DMFT stage see the same numbers
     a, b = tti_diagnostics(rel), tti_diagnostics(full)
@@ -468,12 +480,13 @@ def test_rank_deficient_covariance_gets_zero_pivots():
             realized = float(proc.L[j, : j + 1] @ proc.L[j, : j + 1])
             assert abs(realized - target) <= target * np.sqrt(2.0 / proc.K)
     # horizon-prefix immutability holds through the zero pivots
-    for a, b in ((short.w_proc.values, long.w_proc.values),
-                 (short.u_proc.values, long.u_proc.values),
-                 (short.etas[: short.t_eta + 1], long.etas)):
-        assert len(a) < len(b)
-        for s in range(len(a)):
-            assert np.array_equal(a[s], b[s])
+    for a, b in ((short.w_proc, long.w_proc), (short.u_proc, long.u_proc)):
+        assert a.n < b.n
+        assert np.array_equal(a.innovations[: a.n], b.innovations[: a.n])
+        assert np.array_equal(a.L[: a.n, : a.n], b.L[: a.n, : a.n])
+    assert short.t_eta < long.t_eta
+    for s in range(short.t_eta + 1):
+        assert np.array_equal(short.etas[s], long.etas[s])
 
 
 def test_non_psd_block_is_refused():
@@ -518,12 +531,78 @@ def test_sample_files_are_c_ordered_bytes_of_the_transposed_pools(tmp_path):
 
 
 def test_dmft_law_shapes():
-    # the law at horizon 0: theta^0 and theta*; eta^0, w* and z; u_diamond
+    # the law at horizon 0: theta^0 and theta*; eta^0, w* and z; u_diamond;
+    # no u^t yet, so no u moments
     st = pr_state(K=1500, seed=8)
     run_dmft(st, 0)
     assert st.thetas.shape == (2, 1500)
     assert st.etas.shape == (3, 1500)
-    assert st.u_proc.values.shape == (1, 1500)
+    assert st.u_dia.shape == (1500,)
+    assert st.u_mean.shape == st.u_sq_mean.shape == (0,)
+
+
+def _held_rows(st):
+    """K-path rows held by a state and its two processes: the bytes of the
+    arrays with a K axis, each buffer counted once (a view as its base),
+    over the bytes of one row."""
+    buffers = {}
+
+    def visit(v):
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, (list, tuple)):
+            for x in v:
+                visit(x)
+        elif isinstance(v, np.ndarray) and st.K in v.shape:
+            base = v if v.base is None else v.base
+            buffers[id(base)] = base.nbytes
+    for obj in (st, st.u_proc, st.w_proc):
+        visit(list(vars(obj).values()))
+    return sum(buffers.values()) / (st.K * 8)
+
+
+@pytest.mark.parametrize("independent", [False, True])
+def test_dmft_holds_only_the_path_rows_a_later_step_or_stage_reads(independent):
+    K, m = 1000, 5
+    st = (linear_independent_state(K=K) if independent else pr_state(K=K, seed=3))
+    run_dmft(st, m)
+    rows = ((m + 2) + (m + 3)      # the theta pool (with theta*), the eta pool (w*, z)
+            + 2 * (m + 1)          # ell and d1ell at eta^0..eta^m
+            + m * (m + 1) // 2     # the per-path responses R_eta(t, s), s < t
+            + 3 * (m + 1)          # the star, diamond and double-diamond channels
+            + (m + 1) + (m + 2)    # the u and w innovations
+            + 3                    # u_diamond, w^0 and the scratch row of w^t, u^t
+            + 3)                   # T(y), Ts(y) and the double-diamond source
+    assert _held_rows(st) == rows
+    st.release_paths()
+    assert _held_rows(st) == (m + 2) + (m + 3) + 1     # the law: + u_diamond
+
+
+def test_u_moments_are_those_of_each_drawn_u(monkeypatch):
+    drawn = []
+    add = IncrementalGaussian.add
+
+    def capturing(self, *args, **kwargs):
+        value = add(self, *args, **kwargs)
+        if self.label == "u-process" and self.n > 1:     # u^t, not u_diamond
+            drawn.append(value.copy())
+        return value
+    monkeypatch.setattr(IncrementalGaussian, "add", capturing)
+    m, d = 4, 10
+    st = pr_state(K=2000, seed=5)
+    run_dmft(st, m)
+    assert len(drawn) == m
+    for t, u in enumerate(drawn):
+        scaled = u / st.delta
+        assert st.u_mean[t].hex() == fmean(scaled).hex()
+        assert st.u_sq_mean[t].hex() == fmean(scaled**2).hex()
+    # se_check compares a^i with the moments of u^{i-1}
+    run = AmpRun(a_iters=np.zeros((m, d)), b_iters=np.zeros((m + 1, d)),
+                 theta_rec=np.zeros((m + 1, d)), eta_rec=np.zeros((m + 1, d)))
+    report = se_check(run, st, np.ones(d), np.ones(d))
+    for i in range(1, m + 1):
+        assert report[f"mean_a{i}"]["dmft"] == st.u_mean[i - 1]
+        assert report[f"second_moment_a{i}"]["dmft"] == st.u_sq_mean[i - 1]
 
 
 # ---------------------------------------------------------------------------
