@@ -43,8 +43,6 @@ def _write_json(path: Path, obj) -> None:
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -238,7 +238,9 @@ class DmftState:
     w^0 is ``w0``, and w^t and u^t for t >= 1 pass through one ``scratch``
     row.  The per-path eta responses are the ``(t, K)`` views
     ``r_eta_ts[t]`` of one pool and the ``(K,)`` rows ``r_eta_star[t]``,
-    ``r_eta_dia[t]`` and ``r_eta_dd[t]``, zero until step t writes them.
+    ``r_eta_dia[t]`` and ``r_eta_dd[t]``, zero until step t writes them
+    (the last two stay zero under independent init, as do ``R_eta_dia``
+    and ``R_eta_dd``).
     """
 
     def __init__(
@@ -439,11 +441,15 @@ class DmftState:
             row *= d1_t
 
         # the three alignment channels: star (source d2ell), diamond (source
-        # T(y)) and double diamond (source dd_source)
-        dia = self.r_theta_dia[t]
-        np.multiply(self.Ty, dia, out=self.r_eta_dia[t])
-        np.multiply(self.dd_source, dia, out=self.r_eta_dd[t])
-        for pool in (self.r_eta_star, self.r_eta_dia, self.r_eta_dd):
+        # T(y)) and double diamond (source dd_source).  Under independent
+        # init r_theta_dia is 0, so are the last two, and they stay unwritten
+        pools = [self.r_eta_star]
+        if not self.independent_init:
+            dia = self.r_theta_dia[t]
+            np.multiply(self.Ty, dia, out=self.r_eta_dia[t])
+            np.multiply(self.dd_source, dia, out=self.r_eta_dd[t])
+            pools += [self.r_eta_dia, self.r_eta_dd]
+        for pool in pools:
             acc = pool[t]
             for r in range(t):
                 if R_row[r] != 0.0:
@@ -457,10 +463,10 @@ class DmftState:
         if not self.independent_init:
             self.c_eta_dia[t] = (
                 -(self.delta / self.lam_star) * fmean(ell_t * self.Ts_y * self.etas[0]))
+            self.R_eta_dia[t] = self.delta * fmean(self.r_eta_dia[t])
+            self.R_eta_dd[t] = self.delta * fmean(self.r_eta_dd[t])
         self.R_eta[t, :t] = self.delta * fmean(resp)
         self.R_eta_star[t] = self.delta * fmean(self.r_eta_star[t])
-        self.R_eta_dia[t] = self.delta * fmean(self.r_eta_dia[t])
-        self.R_eta_dd[t] = self.delta * fmean(self.r_eta_dd[t])
         self.e_d1[t] = fmean(d1_t)
         if t == 0:
             self.e_d1_T_t0 = fmean(d1_t * (1.0 + self.Ty))

@@ -27,7 +27,6 @@ from .model import LossModel, ScalarDist, gaussian_dist
 Array = np.ndarray
 
 ETA_RESIDUAL_TOL = 1e-12
-R_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

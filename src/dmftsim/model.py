@@ -54,15 +54,14 @@ def abs_link() -> LinkFunction:
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """C^2 cutoff h with h=1 on [0, L_cut], h=0 on [U_cut, inf)."""
+    """C^2 cutoff h with h=1 on [0, L_cut], h=0 on [U_cut, inf), and its
+    first two derivatives h1, h2.  The loss reads U_cut, the end of its
+    support."""
 
-    L_cut: float
     U_cut: float
     h: Callable[[Array], Array]
     h1: Callable[[Array], Array]
     h2: Callable[[Array], Array]
-    h1_sup: float
-    h2_sup: float
 
 
 def smoothstep_profile(L_cut: float, U_cut: float) -> TruncationProfile:
@@ -106,16 +105,7 @@ def smoothstep_profile(L_cut: float, U_cut: float) -> TruncationProfile:
         return _on_band(u, (u > L_cut) & (u < U_cut), np.zeros(u.shape),
                         lambda x: -60.0 * x * (2.0 * x - 1.0) * (x - 1.0) / width**2)
 
-    # sup|s'| = 30/16 at x=1/2; sup|s''| = 10*sqrt(3)/3 at x = 1/2 +- sqrt(3)/6
-    return TruncationProfile(
-        L_cut=float(L_cut),
-        U_cut=float(U_cut),
-        h=h,
-        h1=h1,
-        h2=h2,
-        h1_sup=1.875 / width,
-        h2_sup=10.0 * np.sqrt(3.0) / 3.0 / width**2,
-    )
+    return TruncationProfile(U_cut=float(U_cut), h=h, h1=h1, h2=h2)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +116,9 @@ def smoothstep_profile(L_cut: float, U_cut: float) -> TruncationProfile:
 class LossModel:
     """Separable loss L(a, b, c) with ell = dL/da and its two derivatives.
 
-    d1ell = d ell / da, d2ell = d ell / db.  ``ell_bound`` is a uniform bound
-    on |ell| when one exists (needed by the long-time eta solver), else None.
+    d1ell = d ell / da, d2ell = d ell / db; these five fields are all a loss
+    must give.  ``ell_bound`` is a uniform bound on |ell| when one exists
+    (the long-time eta solver's bracketing fallback reads it), else None.
 
     ``pool_evaluator(b, c)``, when given, returns a fused evaluator for a
     fixed pool (b, c); ``evaluator`` describes its call and supplies one
@@ -139,8 +130,6 @@ class LossModel:
     ell: Callable[[Array, Array, Array], Array]
     d1ell: Callable[[Array, Array, Array], Array]
     d2ell: Callable[[Array, Array, Array], Array]
-    d1_bound: float
-    d2_bound: float
     ell_bound: Optional[float] = None
     pool_evaluator: Optional[Callable[[Array, Array], Callable]] = None
 
@@ -232,35 +221,28 @@ def rwf_loss(profile: TruncationProfile) -> LossModel:
                     d2_of(a, q, r, ha, h1a, g, hq, h1q, sb) if d2 else None)
         return ev
 
-    d1_b, d2_b, ell_b = _grid_bounds(ell_fn, d1ell_fn, d2ell_fn, profile.U_cut)
     return LossModel(
         name="rwf",
         L=L_fn,
         ell=ell_fn,
         d1ell=d1ell_fn,
         d2ell=d2ell_fn,
-        d1_bound=d1_b,
-        d2_bound=d2_b,
-        ell_bound=ell_b,
+        ell_bound=_grid_bound(ell_fn, profile.U_cut),
         pool_evaluator=pool_evaluator,
     )
 
 
-def _grid_bounds(ell, d1ell, d2ell, U_cut: float):
-    """Numeric sup bounds on the RWF derivatives over their compact support.
+def _grid_bound(ell, U_cut: float) -> float:
+    """Numeric sup bound on |ell| of the RWF loss over its compact support.
 
-    All three functions vanish once a^2 >= U_cut or q^2 >= U_cut, so a dense
-    grid over the support gives the declared constants (5% safety margin).
+    ell vanishes once a^2 >= U_cut or q^2 >= U_cut, so a dense grid over the
+    support gives the bound (5% safety margin).
     """
     r = np.sqrt(U_cut) * 1.0001
     a = np.linspace(-r, r, 481)
     q = np.linspace(0.0, r, 241)
     A, Q = np.meshgrid(a, q, indexing="ij")
-    Z = np.zeros_like(A)
-    d1 = float(np.max(np.abs(d1ell(A, Q, Z)))) * 1.05
-    d2 = float(np.max(np.abs(d2ell(A, Q, Z)))) * 1.05
-    eb = float(np.max(np.abs(ell(A, Q, Z)))) * 1.05
-    return d1, d2, eb
+    return float(np.max(np.abs(ell(A, Q, np.zeros_like(A))))) * 1.05
 
 
 def pseudo_huber_loss(scale: float = 1.0) -> LossModel:
@@ -307,8 +289,6 @@ def pseudo_huber_loss(scale: float = 1.0) -> LossModel:
         ell=ell_fn,
         d1ell=lambda a, b, c: rho2_of(t_of(resid(a, b, c))),
         d2ell=lambda a, b, c: -rho2_of(t_of(resid(a, b, c))),
-        d1_bound=1.0,
-        d2_bound=1.0,
         ell_bound=float(scale),
         pool_evaluator=pool_evaluator,
     )
@@ -320,14 +300,13 @@ def pseudo_huber_loss(scale: float = 1.0) -> LossModel:
 
 @dataclass(frozen=True)
 class PreProcess:
-    """Nonnegative bounded Lipschitz map applied to responses before M_n."""
+    """Nonnegative bounded Lipschitz map Ts applied to responses before M_n,
+    its a.e. derivative Ts1 and tau = sup Ts."""
 
     name: str
     Ts: Callable[[Array], Array]
     Ts1: Callable[[Array], Array]
     tau: float
-    lipschitz: float
-    M_clip: Optional[float] = None
 
 
 def phase_preprocess(M_clip: float) -> PreProcess:
@@ -350,14 +329,7 @@ def phase_preprocess(M_clip: float) -> PreProcess:
         inside = (y < M_clip) & (y > -M_clip)
         return np.where(inside, 2.0 * np.minimum(y, M_clip), 0.0)
 
-    return PreProcess(
-        name="phase-clip",
-        Ts=Ts,
-        Ts1=Ts1,
-        tau=M2,
-        lipschitz=2.0 * M_clip,
-        M_clip=float(M_clip),
-    )
+    return PreProcess(name="phase-clip", Ts=Ts, Ts1=Ts1, tau=M2)
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +379,16 @@ def rademacher_dist() -> ScalarDist:
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """One draw of (X, theta*, z, y) at finite (n, d)."""
+    """One draw of (X, theta*, z, y) at finite (n, d); the config that
+    drew it holds delta = n/d, the link and the seed."""
 
     n: int
     d: int
-    delta: float
     X: Array
     theta_star: Array
     eta_star: Array     # X theta*, computed once for every reader
     z: Array
     y: Array
-    link: LinkFunction
-    seed: int
 
 
 def make_instance(
@@ -443,7 +413,5 @@ def make_instance(
     z = np.asarray(noise.sample(rng, n), dtype=float)
     eta_star = X @ theta_star
     y = np.asarray(link.eval(eta_star, z), dtype=float)
-    return ModelInstance(
-        n=n, d=d, delta=n / d, X=X, theta_star=theta_star, eta_star=eta_star,
-        z=z, y=y, link=link, seed=seed,
-    )
+    return ModelInstance(n=n, d=d, X=X, theta_star=theta_star, eta_star=eta_star,
+                         z=z, y=y)

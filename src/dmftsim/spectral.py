@@ -57,7 +57,6 @@ class LambdaStarSolution:
     lam1_lim: float
     lam2_lim: float
     tau: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,6 @@ def solve_lambda_star(
         lam1_lim=float(delta * psi(lam_star)),
         lam2_lim=float(delta * psi_bar),
         tau=tau,
-        delta=float(delta),
     )
 
 

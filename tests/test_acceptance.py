@@ -311,7 +311,8 @@ def test_criterion_6_long_time_dmft():
     pre = phase_preprocess(2.0)
     loss = pseudo_huber_loss()
     delta, gamma, lam, m = 2.0, 0.08, 1.0, 40
-    L_smooth = lam + 4 * (1 + np.sqrt(delta)) ** 2 * loss.d1_bound
+    # pseudo-Huber: rho'' <= 1
+    L_smooth = lam + 4 * (1 + np.sqrt(delta)) ** 2 * 1.0
     assert gamma < 2 / L_smooth  # benign-region step-size hypothesis
     sol = solve_lambda_star(pre, link, noise, delta,
                             QuadratureSpec(z_samples=30000, seed=1))

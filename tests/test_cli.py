@@ -83,7 +83,7 @@ def test_config_roundtrip(tmp_path):
     assert cfg.n == 200 and cfg.d == 100
     assert cfg.delta == 2.0
     assert cfg.loss.name == "rwf"
-    assert cfg.pre.M_clip == 3.0
+    assert cfg.pre.tau == 9.0
 
 
 def test_config_missing_field(tmp_path):

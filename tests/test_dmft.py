@@ -64,7 +64,7 @@ def rebuilt(proc, j):
 def zero_loss():
     zero = lambda a, b, c: np.zeros_like(np.asarray(a, dtype=float))
     return LossModel(name="zero", L=zero, ell=zero, d1ell=zero, d2ell=zero,
-                     d1_bound=0.0, d2_bound=0.0, ell_bound=0.0)
+                     ell_bound=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +322,30 @@ def test_fmean_is_fsum_bitwise_on_dmft_path_products():
 def test_fmean_special_values_match_fsum(values):
     x = np.array(values)
     assert fmean_outcome(x) == fsum_mean_outcome(x)
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(8).standard_normal(1001).astype(np.float32),
+    np.arange(-500, 1001, 7),
+    np.empty(0),
+], ids=["float32", "int", "empty"])
+def test_fmean_hands_non_float64_and_empty_input_to_fsum(monkeypatch, x):
+    fsum = math.fsum
+    arrays = []
+
+    def spy(values):
+        if isinstance(values, np.ndarray):
+            arrays.append(values)
+        return fsum(values)
+    monkeypatch.setattr(math, "fsum", spy)
+    if x.size:
+        assert fmean(x).hex() == (fsum(x) / x.size).hex()
+    else:    # fsum(x) / x.size divides 0.0 by 0
+        with pytest.raises(ZeroDivisionError):
+            fmean(x)
+    # one fsum of the whole row: the fallback, not extraction
+    assert len(arrays) == 1 and arrays[0].dtype == x.dtype
+    assert np.array_equal(arrays[0], x)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +636,7 @@ def test_u_moments_are_those_of_each_drawn_u(monkeypatch):
 def _fake_solution(a):
     return LambdaStarSolution(lambda_star=10.0, lambda_bar=9.5, psi_prime=0.1,
                               phi_prime=-0.1, overlap_a=a, lam1_lim=1.0,
-                              lam2_lim=0.9, tau=9.0, delta=10.0)
+                              lam2_lim=0.9, tau=9.0)
 
 
 def test_init_rejects_zero_overlap():

@@ -12,7 +12,6 @@ from dmftsim import fixed_point
 from dmftsim.dmft import MonteCarloSpec, fmean, init_dmft, run_dmft
 from dmftsim.fixed_point import (
     ETA_RESIDUAL_TOL,
-    R_RESIDUAL_TOL,
     FixedPointState,
     NoRootError,
     SolverConfig,
@@ -27,6 +26,7 @@ from dmftsim.model import (
     LossModel,
     abs_link,
     gaussian_dist,
+    linear_link,
     phase_preprocess,
     point_mass_dist,
     pseudo_huber_loss,
@@ -36,6 +36,7 @@ from dmftsim.model import (
 from dmftsim.spectral import QuadratureSpec, solve_lambda_star
 
 RWF = rwf_loss(smoothstep_profile(9.0, 18.0))
+R_RESIDUAL_TOL = 1e-10
 
 
 def ridge_loss():
@@ -48,8 +49,6 @@ def ridge_loss():
         ell=lambda a, b, c: np.asarray(a, dtype=float) - b,
         d1ell=one,
         d2ell=lambda a, b, c: -one(a, b, c),
-        d1_bound=1.0,
-        d2_bound=1.0,
     )
 
 
@@ -312,12 +311,57 @@ def test_solve_eta_without_ell_bound_refuses_the_fallback():
     loss = LossModel(
         name="neg-ridge", L=lambda a, b, c: -np.asarray(a, dtype=float) ** 2,
         ell=neg, d1ell=lambda a, b, c: np.full_like(np.asarray(a, dtype=float), -2.0),
-        d2ell=lambda a, b, c: np.zeros_like(np.asarray(a, dtype=float)),
-        d1_bound=2.0, d2_bound=0.0)
+        d2ell=lambda a, b, c: np.zeros_like(np.asarray(a, dtype=float)))
     w_inf = np.linspace(-1.0, 1.0, 7)
     zeros = np.zeros(w_inf.size)
     with pytest.raises(NoRootError, match="'neg-ridge'.* 7 samples"):
         _solve_eta_pool(1.0, w_inf, zeros, zeros, loss)
+
+
+def square_loss():
+    """The square loss on the linear model, given by its five required
+    fields alone: ell = eta - w* - z.  Returns it and its call counts."""
+    calls = dict.fromkeys(("ell", "d1ell", "d2ell"), 0)
+
+    def counted(name, fn):
+        def call(a, b, c):
+            calls[name] += 1
+            return fn(np.asarray(a, dtype=float) - b - c)
+        return call
+    return LossModel(
+        name="square",
+        L=lambda a, b, c: 0.5 * (np.asarray(a, dtype=float) - b - c) ** 2,
+        ell=counted("ell", lambda x: x),
+        d1ell=counted("d1ell", np.ones_like),
+        d2ell=counted("d2ell", lambda x: -np.ones_like(x)),
+    ), calls
+
+
+def test_a_loss_given_by_its_callables_alone_runs_every_solver():
+    loss, calls = square_loss()
+    assert loss.ell_bound is None and loss.pool_evaluator is None
+    rng = np.random.default_rng(5)
+    w_inf, w_star, z = rng.standard_normal((3, 1000))
+    # the pool is solved through the evaluator's generic path, one Newton
+    # step from w_inf: eta + R (eta - w* - z) = w_inf
+    R = 0.7
+    eta, ell, d1, d2 = _solve_eta_pool(R, w_inf, w_star, z, loss)
+    assert min(calls["ell"], calls["d1ell"], calls["d2ell"]) > 0
+    assert np.max(np.abs(eta - (w_inf + R * (w_star + z)) / (1.0 + R))) <= 1e-12
+    assert np.array_equal(d1, np.ones(1000)) and np.array_equal(d2, -np.ones(1000))
+    # d1ell = 1: R_theta is the positive root of lam R^2 + (lam + delta - 1) R - 1
+    delta, lam = 2.0, 0.5
+    b = lam + delta - 1.0
+    R = solve_R_theta(np.ones(2000), delta, lam)
+    assert abs(R - 2.0 / (b + np.sqrt(b * b + 4.0 * lam))) <= 1e-12
+    link, noise, pre = linear_link(), gaussian_dist(0.3), phase_preprocess(2.0)
+    sol = solve_lambda_star(pre, link, noise, delta,
+                            QuadratureSpec(z_samples=2000, seed=1))
+    st = init_dmft(loss, link, noise, pre, sol, delta, 0.2, lam,
+                   MonteCarloSpec(K=2000, seed=3), independent_init=True)
+    run_dmft(st, 3)
+    assert st.t_eta == 3 and np.all(np.isfinite(st.C_eta))
+    assert np.array_equal(st.e_d1, np.ones(4))
 
 
 def sin_loss():
@@ -329,8 +373,6 @@ def sin_loss():
         ell=lambda a, b, c: np.sin(np.asarray(a, dtype=float)),
         d1ell=lambda a, b, c: np.cos(np.asarray(a, dtype=float)),
         d2ell=lambda a, b, c: np.zeros_like(np.asarray(a, dtype=float)),
-        d1_bound=1.0,
-        d2_bound=0.0,
         ell_bound=1.0,
     )
 

@@ -35,8 +35,6 @@ def least_squares_loss():
         ell=lambda a, b, c: np.asarray(a, dtype=float) - b,
         d1ell=one,
         d2ell=lambda a, b, c: -one(a, b, c),
-        d1_bound=1.0,
-        d2_bound=1.0,
     )
 
 
@@ -115,7 +113,8 @@ def test_hessian_ridge_perturbation_bound():
     lam_min, lam_max = hessian_extremes(inst, pseudo_huber_loss(), 10.0,
                                         np.zeros(50))
     assert lam_min >= 10.0 - 9.0
-    assert lam_max <= 10.0 + s_max**2 * pseudo_huber_loss().d1_bound + 1e-12
+    # pseudo-Huber: rho'' <= 1
+    assert lam_max <= 10.0 + s_max**2 * 1.0 + 1e-12
 
 
 def test_hessian_dimension_guard():

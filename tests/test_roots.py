@@ -121,3 +121,71 @@ def test_bisect_under_a_bound_returns_the_bits_of_full_evaluation(exact, bound, 
     certified = roots.bisect(f, lo, f_lo, hi, f_hi, xtol, bound)
     assert certified.hex() == full.hex()
     assert calls[0] < n_full
+
+
+def recorded(f):
+    """f, and the list of its (x, f(x)) in call order."""
+    seen = []
+
+    def g(x):
+        seen.append((x, f(x)))
+        return seen[-1][1]
+    return g, seen
+
+
+def assert_decisions_of_full_evaluation(signs, f, lo, hi, xtol, bound):
+    """The certified signs take every side, and roots.bisect returns the
+    bits, of evaluating f at every midpoint."""
+    assert bisect(signs, lo, hi) == bisect(f, lo, hi)
+    f_lo, f_hi = f(lo), f(hi)
+    full = roots.bisect(f, lo, f_lo, hi, f_hi, xtol)
+    assert roots.bisect(f, lo, f_lo, hi, f_hi, xtol, bound).hex() == full.hex()
+
+
+def test_locator_stops_once_the_decided_points_are_width_apart():
+    # regula falsi on the convex f, kept moving at both ends by the Illinois
+    # rule, brings the decided points within the width before an iterate
+    # falls in the band
+    bound, width = 1e-13, 0.05
+    f, _ = noisy(lambda x: math.expm1(4.0 * x) - 2.0, bound)
+    g, seen = recorded(f)
+    signs = MonotoneSigns(g, bound, 0.0, f(0.0), 1.0, f(1.0), width)
+    assert all(abs(v) > 2.0 * bound for _, v in seen)
+    assert 0 < len(seen) < roots.LOCATE_STEPS
+    assert signs.pos - signs.neg <= width
+    assert_decisions_of_full_evaluation(signs, f, 0.0, 1.0, width, bound)
+
+
+def test_locator_takes_the_midpoint_when_the_chord_rounds_onto_an_end():
+    # f(lo) = -1e-20 is below an ulp of f(hi): every chord rounds onto lo,
+    # so each of the LOCATE_STEPS steps halves the bracket, and the last
+    # one leaves the locator without an iterate in the band
+    bound = 1e-22
+    f, _ = noisy(lambda x: x - 1e-20, bound)
+    f_lo, f_hi = f(0.0), f(1.0)
+    assert 1.0 - f_hi * (1.0 - 0.0) / (f_hi - f_lo) == 0.0
+    g, seen = recorded(f)
+    signs = MonotoneSigns(g, bound, 0.0, f_lo, 1.0, f_hi)
+    assert [x for x, _ in seen] == [2.0 ** -k for k in range(1, roots.LOCATE_STEPS + 1)]
+    assert all(v > 2.0 * bound for _, v in seen)
+    assert_decisions_of_full_evaluation(signs, f, 0.0, 1.0, 0.0, bound)
+
+
+def test_locator_does_not_step_off_a_band_iterate_at_a_nan_slope():
+    # f is nan at the first chord point only: that end's value makes the
+    # chord slope nan, so the locator keeps the band iterate it reached
+    # and evaluates no step off it
+    bound = 0.05
+    f, _ = noisy(lambda x: x - 0.3, bound)
+    calls = [0]
+
+    def nan_once(x):
+        calls[0] += 1
+        return math.nan if calls[0] == 1 else f(x)
+    g, seen = recorded(nan_once)
+    signs = MonotoneSigns(g, bound, 0.0, f(0.0), 1.0, f(1.0))
+    assert math.isnan(seen[0][1])
+    assert [abs(v) <= 2.0 * bound for _, v in seen[1:]] == [False] * (len(seen) - 2) + [True]
+    x_band = seen[-1][0]
+    assert signs.neg < x_band < signs.pos
+    assert_decisions_of_full_evaluation(signs, f, 0.0, 1.0, 0.0, bound)

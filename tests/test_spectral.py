@@ -50,7 +50,7 @@ def small_instance(n=6, d=3, seed=0):
 def test_build_mn_zero_preprocess():
     zero_pre = PreProcess(name="zero", Ts=lambda y: np.zeros_like(np.asarray(y)),
                           Ts1=lambda y: np.zeros_like(np.asarray(y)),
-                          tau=0.0, lipschitz=0.0)
+                          tau=0.0)
     inst = small_instance()
     assert np.array_equal(build_Mn(inst, zero_pre), np.zeros((3, 3)))
 
@@ -67,9 +67,8 @@ def test_build_mn_matches_naive_sum():
 
 def test_build_mn_single_row_rank_one():
     base = small_instance()
-    inst = ModelInstance(n=1, d=3, delta=1 / 3, X=base.X[:1],
-                         theta_star=base.theta_star, eta_star=base.eta_star[:1],
-                         z=base.z[:1], y=base.y[:1], link=base.link, seed=0)
+    inst = ModelInstance(n=1, d=3, X=base.X[:1], theta_star=base.theta_star,
+                         eta_star=base.eta_star[:1], z=base.z[:1], y=base.y[:1])
     M = build_Mn(inst, PRE3)
     w = float(PRE3.Ts(inst.y)[0])
     assert np.linalg.matrix_rank(M, tol=1e-12) <= 1
@@ -93,7 +92,7 @@ def test_build_mn_blocked_matches_dense_product(monkeypatch, n):
 def test_build_mn_rejects_negative_preprocess():
     signed = PreProcess(name="signed", Ts=lambda y: np.asarray(y) - 0.5,
                         Ts1=lambda y: np.ones_like(np.asarray(y)),
-                        tau=0.0, lipschitz=1.0)
+                        tau=0.0)
     with pytest.raises(ValueError, match="signed"):
         build_Mn(small_instance(), signed)
 
@@ -168,8 +167,8 @@ def planted_instance():
     z = np.zeros(3)
     eta_star = X @ theta_star
     y = link.eval(eta_star, z)
-    return ModelInstance(n=3, d=3, delta=1.0, X=X, theta_star=theta_star,
-                         eta_star=eta_star, z=z, y=y, link=link, seed=0)
+    return ModelInstance(n=3, d=3, X=X, theta_star=theta_star,
+                         eta_star=eta_star, z=z, y=y)
 
 
 def test_spectral_estimator_planted_direction():
@@ -216,7 +215,7 @@ def test_top_two_eigs_lanczos_path_matches_dense():
 def test_spectral_estimator_zero_matrix_rejected():
     zero_pre = PreProcess(name="zero", Ts=lambda y: np.zeros_like(np.asarray(y)),
                           Ts1=lambda y: np.zeros_like(np.asarray(y)),
-                          tau=0.0, lipschitz=0.0)
+                          tau=0.0)
     with pytest.raises(ValueError):
         spectral_estimator(small_instance(), zero_pre)
 
@@ -406,6 +405,24 @@ def test_lambda_star_covers_the_dip_of_psi_below_its_minimizer(
     assert (psi_prime < 0) == (shift < 0)
 
 
+def test_lambda_star_bisects_every_midpoint_when_the_grid_leaves_0_tau(monkeypatch):
+    # tau declared just below the grid's largest Ts: phi' <= 0 is not
+    # certified there, so no error bound is, and every midpoint is evaluated
+    pre = PreProcess(name="short-tau", Ts=PRE3.Ts, Ts1=PRE3.Ts1,
+                     tau=PRE3.tau * (1.0 - 1e-10))
+    args = (pre, abs_link(), point_mass_dist(0.0), 10.0, QuadratureSpec())
+    assert EtaIntegrals(*args[:3], args[4]).Zs.max() > pre.tau
+    bounds = []
+    error = spectral._root_fn_error
+    monkeypatch.setattr(spectral, "_root_fn_error",
+                        lambda *a: bounds.append(error(*a)) or bounds[-1])
+    sol = solve_lambda_star(*args)
+    lam_bar, lam_star = solve_lambda_star_full(*args)
+    assert bounds == [None]
+    assert sol.lambda_bar.hex() == lam_bar.hex()
+    assert sol.lambda_star.hex() == lam_star.hex()
+
+
 def test_root_fn_error_bounds_the_rounding_of_zeta_minus_phi():
     # computed zeta - phi against its value in exact rational arithmetic on
     # a small grid, at points across a bracket around lambda*
@@ -488,7 +505,6 @@ def test_admissibility_proxy_warns():
         Ts=lambda y: np.minimum(np.abs(np.asarray(y, dtype=float)) / 10.0, 1.0),
         Ts1=lambda y: np.where(np.abs(y) < 10.0, np.sign(y) / 10.0, 0.0),
         tau=1.0,
-        lipschitz=0.1,
     )
     with pytest.warns(RuntimeWarning, match="admissibility"):
         try:
