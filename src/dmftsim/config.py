@@ -70,25 +70,27 @@ class ExperimentConfig:
     pipeline_stages: tuple
 
 
+_OWN = object()
+
 # every key load_config reads: its parse and the value used when it is
-# absent (None: the key is required); a section or key not listed here is
-# refused
+# absent (None: the key is required; _OWN: the parameter it gives keeps its
+# constructor's default); a section or key not listed here is refused
 _FIELDS = {
     "model": {"n": (int, None), "d": (int, None), "link": (str, None),
-              "noise": (str, None), "noise_sigma": (float, "1.0"),
-              "noise_value": (float, "0.0"), "signal": (str, "gaussian"),
+              "noise": (str, None), "noise_sigma": (float, _OWN),
+              "noise_value": (float, _OWN), "signal": (str, "gaussian"),
               "seed": (int, "0")},
     "loss": {"name": (str, None), "l_cut": (float, None),
-             "u_cut": (float, None), "scale": (float, "1.0"),
+             "u_cut": (float, None), "scale": (float, _OWN),
              "m_clip": (float, None)},
     "algo": {"gamma": (float, None), "lambda_ridge": (float, None),
              "m": (int, None), "init": (str, "spectral")},
-    "spectral": {"gh_nodes": (int, "64"), "z_samples": (int, "20000"),
-                 "quad_seed": (int, "0")},
-    "dmft": {"K": (int, "100000"), "seed": (int, "0")},
-    "fixedpoint": {"K": (int, "100000"), "damping": (float, "0.5"),
-                   "tol": (float, "1e-8"), "max_outer": (int, "200"),
-                   "seed": (int, "0"), "warm_start": (str, "none")},
+    "spectral": {"gh_nodes": (int, _OWN), "z_samples": (int, _OWN),
+                 "quad_seed": (int, _OWN)},
+    "dmft": {"K": (int, "100000"), "seed": (int, _OWN)},
+    "fixedpoint": {"K": (int, "100000"), "damping": (float, _OWN),
+                   "tol": (float, _OWN), "max_outer": (int, _OWN),
+                   "seed": (int, _OWN), "warm_start": (str, "none")},
     "compare": {"w2_tol": (float, "0.05"), "cov_tol": (float, "0.05")},
     "outputs": {"directory": (str, "out"),
                 "stages": (str, "spectral,simulate,dmft,compare")},
@@ -166,10 +168,11 @@ def check_stages(field: str, stages: tuple, init: str) -> tuple:
 
 def _build(cp, section: str, make, keys: dict):
     """``make`` called with the parameters read from their keys: ``keys``
-    maps each key of ``section`` to the parameter it gives.  ``make``'s
-    ValueErrors start with the parameter they refuse and become ConfigErrors
-    naming its key."""
-    params = {param: _get(cp, section, key) for key, param in keys.items()}
+    maps each key of ``section`` to the parameter it gives, and an absent
+    key of default ``_OWN`` gives none.  ``make``'s ValueErrors start with
+    the parameter they refuse and become ConfigErrors naming its key."""
+    params = {param: _get(cp, section, key) for key, param in keys.items()
+              if cp.has_option(section, key) or _FIELDS[section][key][1] is not _OWN}
     try:
         return make(**params)
     except ValueError as exc:

@@ -156,20 +156,15 @@ class IncrementalGaussian:
         self.S[idx, :idx] = self.S[:idx, idx] = c
         self.S[idx, idx] = variance
         full = self.S[: idx + 1, : idx + 1]
-        self.min_eig_before_jitter.append(
-            float(scipy.linalg.eigvalsh(full)[0]) if idx > 0 else float(variance))
+        self.min_eig_before_jitter.append(float(scipy.linalg.eigvalsh(full)[0]))
 
-        if idx == 0:
-            l_part = np.zeros(0)
-            dsq = variance
-        else:
-            # zero-pivot rows are combinations of earlier rows; solve over
-            # the nonzero pivots with l = 0 on zero-pivot columns
-            keep = np.flatnonzero(np.diag(self.L)[:idx])
-            l_part = np.zeros(idx)
-            l_part[keep] = scipy.linalg.solve_triangular(
-                self.L[np.ix_(keep, keep)], c[keep], lower=True)
-            dsq = variance - float(l_part @ l_part)
+        # zero-pivot rows are combinations of earlier rows; solve over the
+        # nonzero pivots with l = 0 on zero-pivot columns
+        keep = np.flatnonzero(np.diag(self.L)[:idx])
+        l_part = np.zeros(idx)
+        l_part[keep] = scipy.linalg.solve_triangular(
+            self.L[np.ix_(keep, keep)], c[keep], lower=True)
+        dsq = variance - float(l_part @ l_part)
         if dsq > 0.0:
             jitter = 0.0
         elif dsq + BASE_JITTER > 0.0:
@@ -291,6 +286,7 @@ class DmftState:
         self.C_star_star = 1.0
         self.C_eta_dia_dia = 1.0 - self.a**2
         self.e_d1_T_t0: Optional[float] = None  # E[d1ell(eta^0,..)(1 + T(y))]
+        self.Ty = 0.0       # T(y), set at eta^0 under spectral init only
         self.t_eta = -1     # last t with eta^t computed
         self.t_theta = 0    # last t with theta^t computed
         self.released = False
@@ -404,7 +400,7 @@ class DmftState:
         w_t = self.w_proc.add(cov, self.C_theta[t, t], self.rng.standard_normal(K),
                               out=self.scratch if t else self.w0)
 
-        if t == 0:
+        if t == 0 and not self.independent_init:
             y = np.asarray(self.link.eval(self.w_star, self.z), dtype=float)
             self.Ts_y = np.asarray(self.pre.Ts(y), dtype=float)
             self.Ty = self.Ts_y / (self.lam_star - self.Ts_y)     # T(y)
@@ -468,7 +464,7 @@ class DmftState:
         self.R_eta[t, :t] = self.delta * fmean(resp)
         self.R_eta_star[t] = self.delta * fmean(self.r_eta_star[t])
         self.e_d1[t] = fmean(d1_t)
-        if t == 0:
+        if t == 0 and not self.independent_init:
             self.e_d1_T_t0 = fmean(d1_t * (1.0 + self.Ty))
         self.t_eta = t
 

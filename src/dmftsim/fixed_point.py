@@ -90,20 +90,21 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
 
     Newton from eta = w_inf with bisection fallback on the bracket
     [w_inf - R B, w_inf + R B].  Each Newton step makes one fused
-    evaluation (``loss.evaluator``, d2ell included) over the whole pool and
-    moves only the samples whose residual still exceeds the tolerance; a
-    sample that met it keeps its eta, so its residual is recomputed from the
-    same bits.  The evaluation at which Newton stops serves the residual
-    check, the stability test and the returned values.
+    evaluation (``loss.evaluator``) over the whole pool and moves only the
+    samples whose residual still exceeds the tolerance; a sample that met
+    it keeps its eta, so its residual is recomputed from the same bits.
+    The evaluation at which Newton stops serves the residual check, the
+    stability test and the returned values; at R = 0 that is the first.
 
     A root is stable when F' = 1 + R d1ell > 0 there.  Every sample whose
     Newton iterate misses the residual tolerance, leaves the bracket or is
-    not stable goes to one fallback call (``_bisect_eta``), and only those
-    samples are evaluated again.  The fallback is the one place where a
-    root is chosen among several: it keeps the upward crossing of F nearest
-    to w_inf.  A warning counts the fallback samples whose bracket scan
-    shows more than one upward crossing, the samples where that choice was
-    made; a sample Newton solves is not counted.
+    not stable goes to one fallback call (``_bisect_eta``) on an evaluator
+    of those samples' sub-pool, which also gives their values at the new
+    roots.  The fallback is the one place where a root is chosen among
+    several: it keeps the upward crossing of F nearest to w_inf.  A warning
+    counts the fallback samples whose bracket scan shows more than one
+    upward crossing, the samples where that choice was made; a sample
+    Newton solves is not counted.
     ``pool_eval`` is ``loss.evaluator(w_star, z)`` when a caller holds it.
     """
     w_inf = np.asarray(w_inf, dtype=float)
@@ -111,10 +112,8 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
     z = np.asarray(z, dtype=float)
     ev = pool_eval if pool_eval is not None else loss.evaluator(w_star, z)
     eta = w_inf.copy()
-    if R == 0.0:
-        return (eta, *ev(eta, d2=True))
     for _ in range(25):
-        ell, d1, d2 = ev(eta, d2=True)
+        ell, d1, d2 = ev(eta)
         f = eta + R * ell - w_inf
         todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
         if not np.any(todo):
@@ -123,7 +122,7 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
         safe = np.abs(fp) >= 1e-3
         np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
     else:
-        ell, d1, d2 = ev(eta, d2=True)
+        ell, d1, d2 = ev(eta)
 
     half = abs(R) * loss.ell_bound if loss.ell_bound is not None else None
     bad = (np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL) | (1.0 + R * d1 <= 0.0)
@@ -135,8 +134,9 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
             raise NoRootError(
                 f"loss {loss.name!r} has no ell_bound to bracket the eta root of "
                 f"{moved.size} samples that Newton left unsolved or unstable")
-        eta[moved], n_multi = _bisect_eta(ev, moved, R, w_inf[moved], half)
-        ell[moved], d1[moved], d2[moved] = ev(eta[moved], moved, d2=True)
+        sub = loss.evaluator(w_star[moved], z[moved])
+        eta[moved], n_multi = _bisect_eta(sub, R, w_inf[moved], half)
+        ell[moved], d1[moved], d2[moved] = sub(eta[moved])
         if n_multi:
             warnings.warn(
                 f"eta fixed-point equation shows multiple crossings on "
@@ -145,15 +145,14 @@ def _solve_eta_pool(R: float, w_inf: Array, w_star: Array, z: Array, loss: LossM
     return eta, ell, d1, d2
 
 
-def _bisect_eta(ev, idx: Array, R: float, w_inf: Array,
-                half: float) -> tuple[Array, int]:
-    """Bracketed fallback on the pool entries ``idx`` of the evaluator
-    ``ev`` (``w_inf`` holds theirs): scan F on 65 points over [w_inf - half,
-    w_inf + half], pick the cell closest to w_inf where F crosses upward (a
-    stable root, F' > 0), bisect inside it.  Returns the roots and the
-    number of samples whose scan crosses upward in more than one cell."""
+def _bisect_eta(ev, R: float, w_inf: Array, half: float) -> tuple[Array, int]:
+    """Bracketed fallback on the pool of the evaluator ``ev`` (``w_inf``
+    holds its samples'): scan F on 65 points over [w_inf - half, w_inf +
+    half], pick the cell closest to w_inf where F crosses upward (a stable
+    root, F' > 0), bisect inside it.  Returns the roots and the number of
+    samples whose scan crosses upward in more than one cell."""
     def F(eta):
-        return eta + R * ev(eta, idx)[0] - w_inf
+        return eta + R * ev(eta)[0] - w_inf
 
     offsets = np.linspace(-1.0, 1.0, 65) * half
     vals = np.stack([F(w_inf + off) for off in offsets], axis=1)  # (k, 65)
@@ -428,7 +427,7 @@ def fixed_point_residuals(state: FixedPointState, loss: LossModel,
                           delta: float, lambda_ridge: float) -> dict:
     """Numeric residuals of the seven fixed-point equations under the pools."""
     eta, w_star, z = state.eta_inf, state.w_star, state.z
-    ell, d1, d2 = loss.evaluator(w_star, z)(eta, d2=True)
+    ell, d1, d2 = loss.evaluator(w_star, z)(eta)
     R = state.R_theta_inf
     lhs1 = (-(lambda_ridge + delta * state.Gamma_inf + state.R_eta_inf) * state.theta_inf
             - state.R_eta_star * state.theta_star + state.u_inf)

@@ -122,7 +122,8 @@ class LossModel:
 
     ``pool_evaluator(b, c)``, when given, returns a fused evaluator for a
     fixed pool (b, c); ``evaluator`` describes its call and supplies one
-    built from the three callables otherwise.
+    built from the three callables otherwise.  A caller that needs the
+    values on part of a pool builds an evaluator of that sub-pool.
     """
 
     name: str
@@ -134,19 +135,16 @@ class LossModel:
     pool_evaluator: Optional[Callable[[Array, Array], Callable]] = None
 
     def evaluator(self, b: Array, c: Array) -> Callable:
-        """``ev(a, idx=None, d2=False) -> (ell, d1ell, d2ell or None)`` at a
-        on the pool (b, c), or on its entries ``idx`` (then a matches
-        b[idx]).  The values are bitwise those of the three callables."""
+        """``ev(a) -> (ell, d1ell, d2ell)`` at a on the pool (b, c).  The
+        values are bitwise those of the three callables."""
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
         if self.pool_evaluator is not None:
             return self.pool_evaluator(b, c)
 
-        def ev(a, idx=None, d2=False):
-            bb, cc = (b, c) if idx is None else (b[idx], c[idx])
-            ell = np.asarray(self.ell(a, bb, cc), dtype=float)
-            d1 = np.asarray(self.d1ell(a, bb, cc), dtype=float)
-            return ell, d1, np.asarray(self.d2ell(a, bb, cc), dtype=float) if d2 else None
+        def ev(a):
+            return tuple(np.asarray(f(a, b, c), dtype=float)
+                         for f in (self.ell, self.d1ell, self.d2ell))
         return ev
 
 
@@ -208,17 +206,16 @@ def rwf_loss(profile: TruncationProfile) -> LossModel:
     def pool_evaluator(b, c):
         q = np.abs(b) + c
         q2 = q * q
-        pool = (q, q2, h(q2), h1(q2), np.sign(b))
+        hq, h1q, sb = h(q2), h1(q2), np.sign(b)
 
-        def ev(a, idx=None, d2=False):
+        def ev(a):
             a = np.asarray(a, dtype=float)
-            q, q2, hq, h1q, sb = pool if idx is None else (v[idx] for v in pool)
             a2 = a * a
             r = a2 - q2
             ha, h1a = h(a2), h1(a2)
             g = g_of(a, r, ha, h1a)
             return (g * hq, d1_of(a2, q2, r, ha, h1a, h2(a2), hq),
-                    d2_of(a, q, r, ha, h1a, g, hq, h1q, sb) if d2 else None)
+                    d2_of(a, q, r, ha, h1a, g, hq, h1q, sb))
         return ev
 
     return LossModel(
@@ -276,11 +273,11 @@ def pseudo_huber_loss(scale: float = 1.0) -> LossModel:
         return ell_of(x, t_of(x))
 
     def pool_evaluator(b, c):
-        def ev(a, idx=None, d2=False):
-            x = resid(a, b, c) if idx is None else resid(a, b[idx], c[idx])
+        def ev(a):
+            x = resid(a, b, c)
             t = t_of(x)
             rho2 = rho2_of(t)
-            return ell_of(x, t), rho2, -rho2 if d2 else None
+            return ell_of(x, t), rho2, -rho2
         return ev
 
     return LossModel(

@@ -114,8 +114,6 @@ class MonotoneSigns:
         # x is in the band: step off it on both sides by a few band widths
         # at the chord's slope, growing the step while it stays in the band
         slope = (gb - ga) / (b - a)
-        if not slope > 0.0:
-            return
         for sgn in (1.0, -1.0):
             step = max(4.0 * self.band / slope, 4.0 * math.ulp(x))
             for _ in range(3):

@@ -18,8 +18,11 @@ import pytest
 from dmftsim import amp, cli, config, dmft, fixed_point
 from dmftsim.cli import Runner, main
 from dmftsim.config import ConfigError, load_config
-from dmftsim.dmft import DmftState, tti_diagnostics
+from dmftsim.dmft import DmftState, MonteCarloSpec, tti_diagnostics
+from dmftsim.fixed_point import SolverConfig
 from dmftsim.gd import run_gd
+from dmftsim.model import gaussian_dist, point_mass_dist, pseudo_huber_loss
+from dmftsim.spectral import QuadratureSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -451,6 +454,34 @@ def test_key_the_chosen_name_does_not_read_is_a_config_error(tmp_path, capsys,
     assert main(["pipeline", "--config", str(path)]) == 2
     assert f"field {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_absent_keys_take_the_defaults_of_the_constructors(tmp_path):
+    # the eleven keys whose default is the parameter's own: a config that
+    # omits them builds what the bare constructors build
+    omitted = {key: None for key in (
+        ("model", "noise_value"), ("spectral", "gh_nodes"),
+        ("spectral", "z_samples"), ("spectral", "quad_seed"), ("dmft", "seed"),
+        ("fixedpoint", "damping"), ("fixedpoint", "tol"),
+        ("fixedpoint", "max_outer"), ("fixedpoint", "seed"))}
+    cfg = load_config(write_cfg_with(tmp_path, omitted))
+    assert cfg.quadrature == QuadratureSpec()
+    assert cfg.monte_carlo == MonteCarloSpec(K=3000)
+    assert cfg.solver == SolverConfig(K=3000)
+    # noise_sigma and scale are read only by other choices than the above
+    gaussian = load_config(write_cfg_with(tmp_path, {
+        **omitted, **CASE_CONTEXT[("model", "noise_sigma")],
+        **CASE_CONTEXT[("loss", "scale")]}))
+    rng = lambda: np.random.default_rng(4)
+    for got, want in ((cfg.noise, point_mass_dist()), (gaussian.noise, gaussian_dist())):
+        assert (got.name, got.second_moment) == (want.name, want.second_moment)
+        assert got.sample(rng(), 50).tobytes() == want.sample(rng(), 50).tobytes()
+    want = pseudo_huber_loss()
+    assert gaussian.loss.ell_bound == want.ell_bound
+    a, b = np.linspace(-5.0, 5.0, 101), np.linspace(2.0, -1.0, 101)
+    for f, g in zip((gaussian.loss.L, gaussian.loss.ell),
+                    (want.L, want.ell)):
+        assert f(a, b, 0.3).tobytes() == g(a, b, 0.3).tobytes()
 
 
 @pytest.mark.parametrize("name", ["README.md", *sorted(

@@ -513,6 +513,20 @@ def test_rank_deficient_covariance_gets_zero_pivots():
         assert np.array_equal(short.etas[s], long.etas[s])
 
 
+@pytest.mark.parametrize("variance", [1.0, 1.0 - 0.37**2, 3.3e-5])
+def test_first_coordinate_is_its_scaled_innovation(variance):
+    # coordinate 0 runs the general path: the 1x1 block's eigenvalue is its
+    # entry, and the solve over no earlier pivots leaves dsq = variance
+    xi = np.random.default_rng(6).standard_normal(500)
+    g = IncrementalGaussian(2, 500, "test-process")
+    out = np.empty(500)
+    value = g.add(np.zeros(0), variance, xi, out=out)
+    assert value is out
+    assert value.tobytes() == (xi * np.sqrt(variance)).tobytes()
+    assert g.min_eig_before_jitter == [variance]
+    assert g.L[0, 0] == np.sqrt(variance) and g.zero_pivots == []
+
+
 def test_non_psd_block_is_refused():
     rng = np.random.default_rng(0)
     g = IncrementalGaussian(2, 100, "test-process")
@@ -596,7 +610,8 @@ def test_dmft_holds_only_the_path_rows_a_later_step_or_stage_reads(independent):
             + 3 * (m + 1)          # the star, diamond and double-diamond channels
             + (m + 1) + (m + 2)    # the u and w innovations
             + 3                    # u_diamond, w^0 and the scratch row of w^t, u^t
-            + 3)                   # T(y), Ts(y) and the double-diamond source
+            # T(y), Ts(y) and the double-diamond source, under spectral init
+            + (0 if independent else 3))
     assert _held_rows(st) == rows
     st.release_paths()
     assert _held_rows(st) == (m + 2) + (m + 3) + 1     # the law: + u_diamond

@@ -303,6 +303,18 @@ def test_solve_eta_trivial_cases():
     assert abs(solve_eta_one(0.2, 1.3, 1.3, 0.0, RWF) - 1.3) <= 1e-12
 
 
+@pytest.mark.parametrize("loss", [RWF, pseudo_huber_loss(0.7), ridge_loss()],
+                         ids=["rwf", "pseudo-huber", "callables"])
+def test_solve_eta_at_zero_response_is_w_inf_and_the_values_there(loss):
+    # at R = 0 the first Newton evaluation meets the tolerance
+    rng = np.random.default_rng(9)
+    w_inf, w_star, z = 3.0 * rng.standard_normal((3, 2000))
+    eta, ell, d1, d2 = _solve_eta_pool(0.0, w_inf, w_star, z, loss)
+    assert eta.tobytes() == w_inf.tobytes()
+    for got, want in zip((ell, d1, d2), loss.evaluator(w_star, z)(w_inf)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_solve_eta_without_ell_bound_refuses_the_fallback():
     # ell = -2a: at R = 1, F(eta) = -eta - w_inf has its one root at
     # -w_inf with F' = -1, unstable, so every sample needs the bracketed
@@ -455,7 +467,7 @@ def newton_eta(R, w_inf, ev):
     d2ell at its last iterate."""
     eta = w_inf.copy()
     for _ in range(25):
-        ell, d1, d2 = ev(eta, d2=True)
+        ell, d1, d2 = ev(eta)
         f = eta + R * ell - w_inf
         todo = ~(np.abs(f) <= 0.1 * ETA_RESIDUAL_TOL)
         if not np.any(todo):
@@ -464,7 +476,7 @@ def newton_eta(R, w_inf, ev):
         safe = np.abs(fp) >= 1e-3
         np.copyto(eta, eta - f / np.where(safe, fp, 1.0), where=todo & safe)
     else:
-        ell, d1, d2 = ev(eta, d2=True)
+        ell, d1, d2 = ev(eta)
     return eta, ell, d1, d2
 
 
@@ -504,7 +516,8 @@ def two_fallback_solve_eta_pool(R, w_inf, w_star, z, loss):
     def fall_back(moved):
         if moved.size:
             eta[moved] = bisect(moved)
-            ell[moved], d1[moved], d2[moved] = ev(eta[moved], moved, d2=True)
+            sub = loss.evaluator(w_star[moved], z[moved])
+            ell[moved], d1[moved], d2[moved] = sub(eta[moved])
 
     off = np.abs(eta + R * ell - w_inf) > ETA_RESIDUAL_TOL
     off |= np.abs(eta - w_inf) > half * (1 + 1e-9)
@@ -622,18 +635,20 @@ def test_unconverged_iteration_states_its_reason():
 def test_eta_pool_is_evaluated_once_per_newton_iterate(monkeypatch):
     # every pool evaluation carries d2ell, and the one at which Newton stops
     # is at the returned roots, so no evaluation repeats the one before it.
-    # Newton runs on the whole pool (idx None); the fallbacks' index arrays
-    # are skipped.
+    # Newton runs on the whole pool; the fallbacks' sub-pool evaluators are
+    # skipped.
     calls = []
     evaluator = LossModel.evaluator
 
     def recording(self, b, c):
         ev = evaluator(self, b, c)
+        if np.size(b) != 5000:
+            return ev
 
-        def rec(a, idx=None, d2=False):
-            if idx is None:
-                calls.append((np.array(a, copy=True), d2))
-            return ev(a, idx, d2=d2)
+        def rec(a):
+            out = ev(a)
+            calls.append((np.array(a, copy=True), out[2] is not None))
+            return out
         return rec
     monkeypatch.setattr(LossModel, "evaluator", recording)
     runs = [
